@@ -1,24 +1,16 @@
 package detobj_test
 
-// Sequential-vs-parallel sub-benchmarks for the exhaustive engines. Every
-// benchmark comes as a seq/par pair with identical workloads; cmd/benchjson
-// pairs them by name and reports par's speedup over seq in BENCH_N.json.
-// The parallel engines are byte-identical to the sequential ones, so the
-// pairs also double as cross-checks: each iteration asserts the same
-// correctness condition on both sides.
-//
-// Two benchmarks additionally carry a /red sub-benchmark running the
-// symmetry-reduced engine on the same workload; benchjson pairs those with
-// /seq into a Reductions section that also reports the allocation ratio
-// (the reduced engine visits one representative per orbit and replays
-// runs through an arena, so both time/op and allocs/op collapse).
-//
-// The parallel speedup materializes at GOMAXPROCS >= 4; at GOMAXPROCS = 1
-// the parallel engines delegate to (or tie with) the sequential ones.
+// Sub-benchmarks for the exhaustive engines. Every benchmark runs the
+// sequential engine as /seq; two of them additionally carry a /red
+// sub-benchmark running the symmetry-reduced engine on the same workload.
+// cmd/benchjson pairs /red with /seq into a Reductions section that also
+// reports the allocation ratio (the reduced engine visits one
+// representative per orbit and replays runs through an arena, so both
+// time/op and allocs/op collapse). The Benchmark names keep their Par
+// prefix so the committed BENCH_N.json series stay comparable.
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"detobj/internal/consensus"
@@ -62,8 +54,7 @@ func relaxedE4Factory(k, procs int) modelcheck.Factory {
 	}
 }
 
-// BenchmarkParExploreE1: exhaustive E1 check, sequential engine vs the
-// worker pool at GOMAXPROCS.
+// BenchmarkParExploreE1: exhaustive E1 check.
 func BenchmarkParExploreE1(b *testing.B) {
 	const k = 6
 	f := alg2Factory(k)
@@ -90,15 +81,10 @@ func BenchmarkParExploreE1(b *testing.B) {
 	b.Run(fmt.Sprintf("k=%d/seq", k), func(b *testing.B) {
 		run(b, func() (int, error) { return modelcheck.Explore(f, 0, check) })
 	})
-	b.Run(fmt.Sprintf("k=%d/par", k), func(b *testing.B) {
-		run(b, func() (int, error) {
-			return modelcheck.ExploreParallel(f, 0, runtime.GOMAXPROCS(0), check)
-		})
-	})
 }
 
 // BenchmarkParExploreE4: exhaustive relaxed-WRN flag-principle check,
-// sequential vs parallel.
+// sequential vs reduced.
 func BenchmarkParExploreE4(b *testing.B) {
 	f := relaxedE4Factory(3, 4)
 	check := func(e modelcheck.Execution) error {
@@ -120,11 +106,6 @@ func BenchmarkParExploreE4(b *testing.B) {
 	b.Run("k=3procs=4/seq", func(b *testing.B) {
 		run(b, func() (int, error) { return modelcheck.Explore(f, 0, check) })
 	})
-	b.Run("k=3procs=4/par", func(b *testing.B) {
-		run(b, func() (int, error) {
-			return modelcheck.ExploreParallel(f, 0, runtime.GOMAXPROCS(0), check)
-		})
-	})
 	// Reduced engine: the three followers are interchangeable, so one
 	// representative stands for up to 3! = 6 executions.
 	sym := modelcheck.SymmetricClasses(4, []int{1, 2, 3})
@@ -141,7 +122,7 @@ func BenchmarkParExploreE4(b *testing.B) {
 }
 
 // BenchmarkParValencyE11: the E11 valency analysis of the SWAP-based
-// 2-consensus protocol, sequential vs parallel.
+// 2-consensus protocol, sequential vs reduced.
 func BenchmarkParValencyE11(b *testing.B) {
 	f := func() sim.Config {
 		objects := map[string]sim.Object{}
@@ -163,11 +144,6 @@ func BenchmarkParValencyE11(b *testing.B) {
 	b.Run("swap/seq", func(b *testing.B) {
 		run(b, func() (*modelcheck.ValencyReport, error) { return modelcheck.AnalyzeValency(f, 0) })
 	})
-	b.Run("swap/par", func(b *testing.B) {
-		run(b, func() (*modelcheck.ValencyReport, error) {
-			return modelcheck.AnalyzeValencyParallel(f, 0, runtime.GOMAXPROCS(0))
-		})
-	})
 	// Reduced engine: the two proposers are symmetric once their input
 	// values are renamed along with the processes.
 	sym := modelcheck.SymmetricClasses(2, []int{0, 1})
@@ -180,8 +156,7 @@ func BenchmarkParValencyE11(b *testing.B) {
 	})
 }
 
-// BenchmarkParIndistE6: the mechanized Lemma 38 analysis of WRN_k,
-// sequential vs parallel.
+// BenchmarkParIndistE6: the mechanized Lemma 38 analysis of WRN_k.
 func BenchmarkParIndistE6(b *testing.B) {
 	for _, k := range []int{4, 5} {
 		k := k
@@ -201,11 +176,6 @@ func BenchmarkParIndistE6(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/seq", k), func(b *testing.B) {
 			run(b, func() (*modelcheck.IndistReport, error) {
 				return modelcheck.CheckIndistinguishability(wrn.New(k), alpha, 1<<15)
-			})
-		})
-		b.Run(fmt.Sprintf("k=%d/par", k), func(b *testing.B) {
-			run(b, func() (*modelcheck.IndistReport, error) {
-				return modelcheck.CheckIndistinguishabilityParallel(wrn.New(k), alpha, 1<<15, runtime.GOMAXPROCS(0))
 			})
 		})
 	}

@@ -1,15 +1,15 @@
 // Command benchjson converts `go test -bench` output (read from stdin)
-// into a machine-readable JSON report, pairing the seq/par sub-benchmark
-// twins of bench_parallel_test.go and computing par's speedup over seq.
-// Benchmarks that also carry a symmetry-reduced /red twin are paired
-// into a reductions section recording the speedup and the allocation
-// ratio of the reduced engine over the sequential one.
+// into a machine-readable JSON report. Every value/unit pair of a result
+// line is kept: ns/op, B/op and allocs/op in their own fields, custom
+// b.ReportMetric units (steps/op, ...) in a per-benchmark metrics map.
+// Benchmarks that carry a symmetry-reduced /red twin of a /seq
+// sub-benchmark are paired into a reductions section recording the
+// speedup and the allocation ratio of the reduced engine over the
+// sequential one.
 //
 // The report records goos/goarch/cpu from the bench header and
 // numcpu/gomaxprocs from this process, so a committed BENCH_N.json is
-// honest about the hardware it was measured on: the parallel engines
-// cannot beat the sequential ones at GOMAXPROCS = 1, and a reader of the
-// file can see that context without re-running anything.
+// honest about the hardware it was measured on.
 //
 // Usage:
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -37,20 +36,15 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-}
-
-// Speedup pairs a /seq sub-benchmark with its /par twin.
-type Speedup struct {
-	Pair    string  `json:"pair"`
-	SeqNs   float64 `json:"seq_ns_per_op"`
-	ParNs   float64 `json:"par_ns_per_op"`
-	Speedup float64 `json:"speedup"`
+	// Metrics holds every other value/unit pair of the line, keyed by
+	// unit (e.g. "steps/op" from b.ReportMetric).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Reduction pairs a /seq sub-benchmark with its symmetry-reduced /red
-// twin. Unlike the seq/par pairs, the interesting figure here is the
-// allocation collapse as much as the time: the reduced engine visits one
-// representative per orbit and replays runs through an arena.
+// twin. The interesting figure is the allocation collapse as much as the
+// time: the reduced engine visits one representative per orbit and
+// replays runs through an arena.
 type Reduction struct {
 	Pair       string  `json:"pair"`
 	SeqNs      float64 `json:"seq_ns_per_op"`
@@ -70,17 +64,9 @@ type Report struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	NumCPU     int         `json:"numcpu"`
 	Gomaxprocs int         `json:"gomaxprocs"`
-	Note       string      `json:"note,omitempty"`
-	Warning    string      `json:"warning,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	Speedups   []Speedup   `json:"speedups,omitempty"`
 	Reductions []Reduction `json:"reductions,omitempty"`
 }
-
-// benchLine matches e.g.
-//
-//	BenchmarkParExploreE1/k=6/seq-8   3  412ms/op … (ns/op, B/op, allocs/op)
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 func main() {
 	out := flag.String("o", "BENCH_6.json", "output file (- for stdout)")
@@ -119,13 +105,6 @@ func parse(r io.Reader) (*Report, error) {
 		NumCPU:     runtime.NumCPU(),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 	}
-	if rep.Gomaxprocs < 4 {
-		rep.Note = "measured below GOMAXPROCS=4; the parallel engines' speedup materializes at GOMAXPROCS >= 4"
-	}
-	if rep.NumCPU == 1 {
-		rep.Warning = "single-CPU machine: seq/par speedup figures are meaningless here; only ns/op and allocs/op are comparable across runs"
-		fmt.Fprintln(os.Stderr, "benchjson: warning:", rep.Warning)
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -140,20 +119,9 @@ func parse(r io.Reader) (*Report, error) {
 		case strings.HasPrefix(line, "pkg: "):
 			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if b, ok := parseLine(line); ok {
+			rep.Benchmarks = append(rep.Benchmarks, b)
 		}
-		b := Benchmark{Name: stripProcSuffix(m[1])}
-		b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -161,9 +129,47 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
-	rep.Speedups = pairSpeedups(rep.Benchmarks)
 	rep.Reductions = pairReductions(rep.Benchmarks)
 	return rep, nil
+}
+
+// parseLine parses one result line, e.g.
+//
+//	BenchmarkSimThroughput-8  459  2492677 ns/op  54.00 steps/op  1612 B/op  21 allocs/op
+//
+// After the name and iteration count the line is a sequence of
+// value/unit pairs in any order; a line without ns/op is not a result.
+func parseLine(line string) (Benchmark, bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return Benchmark{}, false
+	}
+	b := Benchmark{Name: stripProcSuffix(f[0])}
+	var err error
+	if b.Iterations, err = strconv.ParseInt(f[1], 10, 64); err != nil {
+		return Benchmark{}, false
+	}
+	hasNs := false
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Benchmark{}, false
+		}
+		switch unit := f[i+1]; unit {
+		case "ns/op":
+			b.NsPerOp, hasNs = v, true
+		case "B/op":
+			b.BytesPerOp = int64(v)
+		case "allocs/op":
+			b.AllocsPerOp = int64(v)
+		default:
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64)
+			}
+			b.Metrics[unit] = v
+		}
+	}
+	return b, hasNs
 }
 
 // stripProcSuffix removes the trailing -GOMAXPROCS that `go test`
@@ -177,33 +183,6 @@ func stripProcSuffix(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-// pairSpeedups joins each .../seq benchmark with its .../par twin, in the
-// order the seq side appeared.
-func pairSpeedups(benches []Benchmark) []Speedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	var out []Speedup
-	for _, b := range benches {
-		if !strings.HasSuffix(b.Name, "/seq") {
-			continue
-		}
-		pair := strings.TrimSuffix(b.Name, "/seq")
-		par, ok := byName[pair+"/par"]
-		if !ok || par.NsPerOp <= 0 {
-			continue
-		}
-		out = append(out, Speedup{
-			Pair:    pair,
-			SeqNs:   b.NsPerOp,
-			ParNs:   par.NsPerOp,
-			Speedup: math2(b.NsPerOp / par.NsPerOp),
-		})
-	}
-	return out
 }
 
 // pairReductions joins each .../seq benchmark with its .../red twin, in

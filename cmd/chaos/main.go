@@ -32,14 +32,14 @@
 // On failure the driver prints the failing seed; re-running with
 // -start <seed> -seeds 1 reproduces the run.
 //
-// Seeds sweep in parallel (-parallel, default GOMAXPROCS): every seed is
-// a self-contained deterministic run, so each writes into its own buffer
+// Seeds sweep in parallel over GOMAXPROCS workers: every seed is a
+// self-contained deterministic run, so each writes into its own buffer
 // and the buffers are printed in seed order — the sweep's output and its
 // first-failing-seed error are identical for every worker count.
 //
 // Usage:
 //
-//	chaos [-seeds N] [-start S] [-scenario sim|native|restart|all] [-parallel P] [-v]
+//	chaos [-seeds N] [-start S] [-scenario sim|native|restart|all] [-v]
 package main
 
 import (
@@ -67,10 +67,9 @@ func main() {
 	seeds := flag.Int64("seeds", 20, "number of seeds to sweep")
 	start := flag.Int64("start", 0, "first seed")
 	scenario := flag.String("scenario", "all", "scenario to run: sim, native, restart or all")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the seed sweep (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "dump the full chaos report of every simulator run")
 	flag.Parse()
-	if err := run(os.Stdout, *scenario, *start, *seeds, *parallel, *verbose); err != nil {
+	if err := run(os.Stdout, *scenario, *start, *seeds, par.Default(), *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos:", err)
 		os.Exit(1)
 	}

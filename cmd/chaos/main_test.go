@@ -49,10 +49,10 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		var got strings.Builder
 		if err := run(&got, "all", 0, 4, workers, true); err != nil {
-			t.Fatalf("parallel=%d sweep: %v", workers, err)
+			t.Fatalf("workers=%d sweep: %v", workers, err)
 		}
 		if got.String() != want.String() {
-			t.Errorf("parallel=%d output differs from sequential", workers)
+			t.Errorf("workers=%d output differs from sequential", workers)
 		}
 	}
 }

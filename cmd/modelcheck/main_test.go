@@ -7,7 +7,7 @@ import (
 
 func TestRunAll(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "all", 0, false); err != nil {
+	if err := run(&b, "all", false); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := b.String()
@@ -35,24 +35,6 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// TestRunParallelDeterministic: the tables must be byte-identical for
-// every -parallel value.
-func TestRunParallelDeterministic(t *testing.T) {
-	var want strings.Builder
-	if err := run(&want, "all", 1, false); err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	for _, workers := range []int{2, 4} {
-		var got strings.Builder
-		if err := run(&got, "all", workers, false); err != nil {
-			t.Fatalf("parallel=%d run: %v", workers, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("parallel=%d output differs from sequential", workers)
-		}
-	}
-}
-
 func rowHas(out, prefix, want string) bool {
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, prefix) && strings.Contains(line, want) {
@@ -64,13 +46,13 @@ func rowHas(out, prefix, want string) bool {
 
 func TestRunSelection(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "e11", 0, false); err != nil {
+	if err := run(&b, "e11", false); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if strings.Contains(b.String(), "E6") {
 		t.Error("e11 selection also ran e6")
 	}
-	if err := run(&b, "bogus", 0, false); err == nil {
+	if err := run(&b, "bogus", false); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -79,7 +61,7 @@ func TestRunSelection(t *testing.T) {
 // match the exhaustive oracle.
 func TestRunStats(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "e11", 0, true); err != nil {
+	if err := run(&b, "e11", true); err != nil {
 		t.Fatalf("run -stats: %v", err)
 	}
 	out := b.String()

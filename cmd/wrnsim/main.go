@@ -2,16 +2,16 @@
 // random and exhaustive schedules and prints the experiment tables E1, E3,
 // E4, E5 and E9 (see EXPERIMENTS.md).
 //
-// Random sweeps split the base seed per run (run r uses seed+r), so the
-// result table is identical for every -parallel value; exhaustive rows run
-// on modelcheck.ExploreParallel, which is order-identical to Explore.
+// Random sweeps fan out over GOMAXPROCS workers and split the base seed
+// per run (run r uses seed+r), so the result table is identical for every
+// worker count; exhaustive rows run on modelcheck.Explore.
 // wrnsim exits non-zero when any experiment's correctness columns show a
 // violation (E1/E3/E9 violations, E3/E4 illegal uses, E5 non-linearizable
 // runs), so a failed sweep cannot masquerade as a clean one.
 //
 // Usage:
 //
-//	wrnsim [-exp e1|e3|e4|e5|e9|all] [-runs N] [-seed S] [-parallel P]
+//	wrnsim [-exp e1|e3|e4|e5|e9|all] [-runs N] [-seed S]
 package main
 
 import (
@@ -33,9 +33,8 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: e1, e3, e4, e5, e9 or all")
 	runs := flag.Int("runs", 1000, "random schedules per configuration")
 	seed := flag.Int64("seed", 1, "base seed")
-	parallel := flag.Int("parallel", 0, "worker goroutines for seed sweeps (0 = GOMAXPROCS)")
 	flag.Parse()
-	if err := run(os.Stdout, *exp, *runs, *seed, *parallel); err != nil {
+	if err := run(os.Stdout, *exp, *runs, *seed, par.Default()); err != nil {
 		fmt.Fprintln(os.Stderr, "wrnsim:", err)
 		os.Exit(1)
 	}
@@ -82,14 +81,12 @@ func expE1(w io.Writer, runs int, seed int64, workers int) error {
 	for k := 3; k <= 8; k++ {
 		task := tasks.SetConsensus{K: k - 1}
 		if k <= 6 {
-			// Exhaustive: the protocol takes one step per process. The
-			// parallel engine visits executions in the canonical order on
-			// this goroutine, so the counters need no locking.
+			// Exhaustive: the protocol takes one step per process.
 			maxDistinct, count, violations := 0, 0, 0
-			_, err := modelcheck.ExploreParallel(func() sim.Config {
+			_, err := modelcheck.Explore(func() sim.Config {
 				objects := map[string]sim.Object{}
 				return sim.Config{Objects: objects, Programs: alg2Programs(objects, k)}
-			}, 0, workers, func(e modelcheck.Execution) error {
+			}, 0, func(e modelcheck.Execution) error {
 				count++
 				o := tasks.OutcomeFromResult(e.Result, alg2Inputs(k))
 				if task.Check(o) != nil {

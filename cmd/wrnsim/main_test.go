@@ -39,7 +39,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 // TestRunParallelDeterministic: the result tables must be byte-identical
-// for every -parallel value — run r always uses seed+r, and aggregation
+// for every worker count — run r always uses seed+r, and aggregation
 // happens in run order.
 func TestRunParallelDeterministic(t *testing.T) {
 	var want strings.Builder
@@ -49,10 +49,10 @@ func TestRunParallelDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		var got strings.Builder
 		if err := run(&got, "all", 15, 7, workers); err != nil {
-			t.Fatalf("parallel=%d run: %v", workers, err)
+			t.Fatalf("workers=%d run: %v", workers, err)
 		}
 		if got.String() != want.String() {
-			t.Errorf("parallel=%d output differs from sequential", workers)
+			t.Errorf("workers=%d output differs from sequential", workers)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package lint
 
 // hotpath.go computes loop-depth-weighted reachability from the
-// module's hot entrypoints: the exhaustive engines (Explore,
-// ExploreParallel, AnalyzeValency*, CheckIndistinguishability*) and any
+// module's hot entrypoints: the exhaustive engines (Explore*,
+// AnalyzeValency*, CheckIndistinguishability) and any
 // function annotated //detlint:hot (the chaos sweep drivers). The
 // exhaustive engines visit state spaces whose size is exponential in
 // the configuration, so a single allocation at loop depth d under a
@@ -33,14 +33,11 @@ const maxHotDepth = 6
 // hotRootNames are the exhaustive-engine entrypoints that anchor hot
 // paths by name, wherever they are declared under internal/ or cmd/.
 var hotRootNames = map[string]bool{
-	"Explore":                           true,
-	"ExploreParallel":                   true,
-	"ExploreReduced":                    true,
-	"AnalyzeValency":                    true,
-	"AnalyzeValencyParallel":            true,
-	"AnalyzeValencyReduced":             true,
-	"CheckIndistinguishability":         true,
-	"CheckIndistinguishabilityParallel": true,
+	"Explore":                   true,
+	"ExploreReduced":            true,
+	"AnalyzeValency":            true,
+	"AnalyzeValencyReduced":     true,
+	"CheckIndistinguishability": true,
 }
 
 // hotDirective marks a function as a hot root via a //detlint:hot

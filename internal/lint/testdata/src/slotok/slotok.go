@@ -45,7 +45,7 @@ func FillDerived(n, workers int) []cell {
 }
 
 // FillClaimed hands out extra stream slots with an atomic claim counter,
-// the ExploreParallel idiom: the claimed index is as good as the worker
+// the par.ForEach idiom: the claimed index is as good as the worker
 // index.
 func FillClaimed(n, workers int) []int {
 	streams := make([]int, 2*n)

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"sort"
 
-	"detobj/internal/par"
 	"detobj/internal/sim"
 )
 
 // Finite is a deterministic object with an enumerable state space:
 // serializable state and deep copies. The registers, wrn and consensus
-// packages implement it for their objects.
-//
-// Concurrency contract: StateKey and CloneObject must be read-only on
-// the receiver — the parallel checker calls both from multiple
-// goroutines on shared states (Apply is only ever invoked on a fresh
-// clone, never on a shared state).
+// packages implement it for their objects. StateKey and CloneObject must
+// be read-only on the receiver: the checker calls both on states it
+// keeps (Apply is only ever invoked on a fresh clone).
 type Finite interface {
 	sim.Object
 	// StateKey serializes the current state; equal keys mean equal states.
@@ -68,11 +64,9 @@ type stateTable struct {
 	hang int32
 }
 
-// buildTable precomputes the transition table over the reachable states.
-// Rows are stepped on the worker pool; interning runs sequentially in
-// (state, alphabet) order, so the table — like every report built from
-// it — is byte-identical for any worker count.
-func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int) *stateTable {
+// buildTable precomputes the transition table over the reachable states,
+// interning outputs in (state, alphabet) order.
+func buildTable(states map[string]Finite, alphabet []sim.Invocation) *stateTable {
 	keys := make([]string, 0, len(states))
 	for k := range states {
 		keys = append(keys, k)
@@ -82,18 +76,6 @@ func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int
 	for i, k := range keys {
 		index[k] = int32(i)
 	}
-	type cell struct{ key, out string }
-	cells := make([][]cell, len(keys))
-	_ = par.ForEach(len(keys), workers, func(i int) error {
-		s := states[keys[i]]
-		row := make([]cell, len(alphabet))
-		for j, inv := range alphabet {
-			succ, out := stepFinite(s, inv)
-			row[j] = cell{key: succ.StateKey(), out: out}
-		}
-		cells[i] = row
-		return nil
-	})
 	t := &stateTable{
 		keys:     keys,
 		states:   make([]Finite, len(keys)),
@@ -103,19 +85,21 @@ func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int
 	}
 	interned := make(map[string]int32)
 	for i, k := range keys {
-		t.states[i] = states[k]
+		s := states[k]
+		t.states[i] = s
 		row := make([]transition, len(alphabet))
-		for j, c := range cells[i] {
-			id, ok := interned[c.out]
+		for j, inv := range alphabet {
+			succ, out := stepFinite(s, inv)
+			id, ok := interned[out]
 			if !ok {
 				id = int32(len(t.outs))
-				interned[c.out] = id
-				t.outs = append(t.outs, c.out)
-				if c.out == hangToken {
+				interned[out] = id
+				t.outs = append(t.outs, out)
+				if out == hangToken {
 					t.hang = id
 				}
 			}
-			row[j] = transition{succ: index[c.key], out: id}
+			row[j] = transition{succ: index[succ.StateKey()], out: id}
 		}
 		t.rows[i] = row
 	}
@@ -126,44 +110,29 @@ func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int
 // from alphabet, keyed by StateKey. maxStates guards against unbounded
 // spaces (0 means 1<<16).
 func Reachable(init Finite, alphabet []sim.Invocation, maxStates int) (map[string]Finite, error) {
-	return reachableN(init, alphabet, maxStates, 1)
+	return reachableN(init, alphabet, maxStates)
 }
 
 // reachableN is the breadth-first reachability sweep behind Reachable,
-// with each frontier state's successor row computed on the worker pool.
-// Deduplication stays sequential in (frontier index, alphabet index)
-// order, so the insertion order — and the exact point at which the
-// maxStates guard fires — matches the sequential sweep.
-func reachableN(init Finite, alphabet []sim.Invocation, maxStates, workers int) (map[string]Finite, error) {
+// deduplicating successors in (frontier index, alphabet index) order.
+func reachableN(init Finite, alphabet []sim.Invocation, maxStates int) (map[string]Finite, error) {
 	if maxStates <= 0 {
 		maxStates = 1 << 16
-	}
-	type row struct {
-		succ Finite
-		key  string
 	}
 	states := map[string]Finite{init.StateKey(): init}
 	frontier := []Finite{init}
 	for len(frontier) > 0 {
-		rows := make([][]row, len(frontier))
-		_ = par.ForEach(len(frontier), workers, func(i int) error {
-			rs := make([]row, len(alphabet))
-			for j, inv := range alphabet {
-				succ, _ := stepFinite(frontier[i], inv)
-				rs[j] = row{succ: succ, key: succ.StateKey()}
-			}
-			rows[i] = rs
-			return nil
-		})
 		var next []Finite
-		for _, rs := range rows {
-			for _, r := range rs {
-				if _, seen := states[r.key]; !seen {
+		for _, s := range frontier {
+			for _, inv := range alphabet {
+				succ, _ := stepFinite(s, inv)
+				key := succ.StateKey()
+				if _, seen := states[key]; !seen {
 					if len(states) >= maxStates {
 						return nil, fmt.Errorf("modelcheck: state space exceeds %d states", maxStates)
 					}
-					states[r.key] = r.succ
-					next = append(next, r.succ)
+					states[key] = succ
+					next = append(next, succ)
 				}
 			}
 		}
@@ -179,7 +148,7 @@ func reachableN(init Finite, alphabet []sim.Invocation, maxStates, workers int) 
 // objects are deterministic, observational equivalence and bisimilarity
 // coincide.
 func ObsClasses(states map[string]Finite, alphabet []sim.Invocation) map[string]int {
-	t := buildTable(states, alphabet, 1)
+	t := buildTable(states, alphabet)
 	class := t.obsClasses()
 	out := make(map[string]int, len(t.keys))
 	for i, k := range t.keys {
@@ -193,9 +162,7 @@ func ObsClasses(states map[string]Finite, alphabet []sim.Invocation) map[string]
 // row across the alphabet — as packed int32 bytes into one reused
 // buffer; class ids are assigned first-seen in sorted-key order, exactly
 // as the string-signature refinement assigned them, so the resulting
-// partition (and every report built on it) is unchanged. The rounds are
-// pure integer work over the table, so they run sequentially: the
-// parallel engine already paid its fan-out when the table was built.
+// partition (and every report built on it) is unchanged.
 func (t *stateTable) obsClasses() []int32 {
 	n := len(t.keys)
 	class := make([]int32, n)
@@ -292,38 +259,23 @@ func (r *IndistReport) Clean() bool { return r.Passed() && len(r.Degenerate) == 
 // Observational equivalence is computed by ObsClasses over the full
 // alphabet — the strongest observer — so a pass here is conservative.
 func CheckIndistinguishability(init Finite, alphabet []sim.Invocation, maxStates int) (*IndistReport, error) {
-	return checkIndistN(init, alphabet, maxStates, 1)
+	return checkIndistN(init, alphabet, maxStates)
 }
 
-// CheckIndistinguishabilityParallel is CheckIndistinguishability across
-// a worker pool (<= 0 workers means GOMAXPROCS): reachability rounds,
-// the transition-table build and the per-state pair analysis all fan
-// out, and every result list is concatenated in sorted-state-key order,
-// so the report is byte-identical to the sequential checker's.
-func CheckIndistinguishabilityParallel(init Finite, alphabet []sim.Invocation, maxStates, workers int) (*IndistReport, error) {
-	return checkIndistN(init, alphabet, maxStates, par.Normalize(workers, -1))
-}
-
-// checkIndistN runs the Lemma 38 case analysis with each state's pair
-// loop on the worker pool. The reachable space is precomputed into a
-// transition table once, so the per-pair verdicts are index lookups
-// rather than four object clones; per-state failure lists land in an
-// indexed slot and are concatenated in sorted-key order, matching the
-// sequential append order.
-func checkIndistN(init Finite, alphabet []sim.Invocation, maxStates, workers int) (*IndistReport, error) {
-	states, err := reachableN(init, alphabet, maxStates, workers)
+// checkIndistN runs the Lemma 38 case analysis. The reachable space is
+// precomputed into a transition table once, so the per-pair verdicts
+// are index lookups rather than four object clones; failures are
+// listed in sorted-state-key order.
+func checkIndistN(init Finite, alphabet []sim.Invocation, maxStates int) (*IndistReport, error) {
+	states, err := reachableN(init, alphabet, maxStates)
 	if err != nil {
 		return nil, err
 	}
-	t := buildTable(states, alphabet, workers)
+	t := buildTable(states, alphabet)
 	class := t.obsClasses()
 
-	type chunk struct {
-		failures, degenerate []PairFailure
-	}
-	chunks := make([]chunk, len(t.keys))
-	_ = par.ForEach(len(t.keys), workers, func(i int) error {
-		var c chunk
+	rep := &IndistReport{States: len(t.keys), Pairs: len(t.keys) * len(alphabet) * len(alphabet)}
+	for i, key := range t.keys {
 		for ai, a := range alphabet {
 			for bi, b := range alphabet {
 				va := t.classify(class, int32(i), ai, bi)
@@ -331,22 +283,14 @@ func checkIndistN(init Finite, alphabet []sim.Invocation, maxStates, workers int
 				if va == pairIndist || vb == pairIndist {
 					continue // some issuer cannot distinguish: obligation met
 				}
-				f := PairFailure{State: t.keys[i], A: a, B: b}
+				f := PairFailure{State: key, A: a, B: b}
 				if va == pairDistinguish || vb == pairDistinguish {
-					c.failures = append(c.failures, f)
+					rep.Failures = append(rep.Failures, f)
 				} else {
-					c.degenerate = append(c.degenerate, f)
+					rep.Degenerate = append(rep.Degenerate, f)
 				}
 			}
 		}
-		chunks[i] = c
-		return nil
-	})
-
-	rep := &IndistReport{States: len(t.keys), Pairs: len(t.keys) * len(alphabet) * len(alphabet)}
-	for _, c := range chunks {
-		rep.Failures = append(rep.Failures, c.failures...)
-		rep.Degenerate = append(rep.Degenerate, c.degenerate...)
 	}
 	return rep, nil
 }

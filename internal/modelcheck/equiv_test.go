@@ -28,9 +28,16 @@ func TestReachableRegister(t *testing.T) {
 	}
 }
 
+// TestReachableLimit: the maxStates guard fires in Reachable and, with
+// the same error, in CheckIndistinguishability.
 func TestReachableLimit(t *testing.T) {
 	if _, err := Reachable(registers.New("init"), registerAlphabet("a", "b", "c"), 2); err == nil {
 		t.Error("state limit not enforced")
+	}
+	_, reachErr := Reachable(wrn.New(3), WRNAlphabet(3, 2), 2)
+	_, err := CheckIndistinguishability(wrn.New(3), WRNAlphabet(3, 2), 2)
+	if err == nil || reachErr == nil || err.Error() != reachErr.Error() {
+		t.Errorf("CheckIndistinguishability err = %v, want %v", err, reachErr)
 	}
 }
 

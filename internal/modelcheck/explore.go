@@ -112,9 +112,8 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	count := 0
 	err := exploreDFS(f, nil, nil, func(e Execution) error {
 		// The budget check runs before the count moves, so the returned
-		// count is exactly the number of visit calls — the doc contract
-		// ExploreParallel reproduces through the same errLimitExceeded
-		// rendering (see TestExploreLimitBoundaryParity).
+		// count is exactly the number of visit calls (see
+		// TestExploreLimitBoundaryParity).
 		if count == limit {
 			return errLimitExceeded(limit)
 		}
@@ -124,8 +123,8 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	return count, err
 }
 
-// errLimitExceeded builds the canonical budget error; ExploreParallel
-// must produce byte-identical errors, so the rendering lives here.
+// errLimitExceeded builds the canonical budget error; the reduced and
+// valency engines trip with the same rendering as Explore.
 func errLimitExceeded(limit int) error {
 	return fmt.Errorf("%w (%d executions)", ErrLimit, limit)
 }
@@ -134,9 +133,7 @@ func errLimitExceeded(limit int) error {
 // complete execution reachable from the (sched, choices) prefix and
 // calls emit once per execution. The branching discipline — choice
 // values 0..n−1 before deeper schedules, enabled ids in increasing
-// order — is THE canonical exploration order: Explore and
-// ExploreParallel both derive their visit sequences from this one
-// function, which is what makes their outputs byte-identical.
+// order — is THE canonical exploration order Explore visits.
 func exploreDFS(f Factory, sched, choices []int, emit func(e Execution) error) error {
 	res, err := runScripted(f, sched, choices)
 	if err != nil {
@@ -232,16 +229,10 @@ func asDemand(err error, out *choiceDemand) bool {
 func VerifyAll(f Factory, limit int, check func(res *sim.Result) error) (int, error) {
 	return Explore(f, limit, func(e Execution) error {
 		if err := check(e.Result); err != nil {
-			return verifyErr(e, err)
+			return fmt.Errorf("schedule %v choices %v: %w", e.Schedule, e.Choices, err)
 		}
 		return nil
 	})
-}
-
-// verifyErr pins a check failure to its execution; shared by VerifyAll
-// and VerifyAllParallel so both render failures identically.
-func verifyErr(e Execution, err error) error {
-	return fmt.Errorf("schedule %v choices %v: %w", e.Schedule, e.Choices, err)
 }
 
 // DecisionVectors explores every execution and returns the set of distinct

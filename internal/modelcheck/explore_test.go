@@ -3,10 +3,12 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"detobj/internal/registers"
 	"detobj/internal/sim"
+	"detobj/internal/wrn"
 )
 
 // counterFactory builds procs processes that each increment a shared
@@ -25,6 +27,50 @@ func counterFactory(procs, steps int) Factory {
 			}
 		}
 		return sim.Config{Objects: objects, Programs: programs}
+	}
+}
+
+// renderExec pins down everything Explore exposes about one execution, so
+// two visit sequences can be compared byte for byte.
+func renderExec(e Execution) string {
+	return fmt.Sprintf("sched=%v choices=%v out=%v status=%v steps=%d",
+		e.Schedule, e.Choices, e.Result.Outputs, e.Result.Status, e.Result.Steps)
+}
+
+// collectSeq is Explore's full rendered visit sequence.
+func collectSeq(t *testing.T, f Factory) []string {
+	t.Helper()
+	var seq []string
+	n, err := Explore(f, 0, func(e Execution) error {
+		seq = append(seq, renderExec(e))
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	if n != len(seq) {
+		t.Fatalf("Explore count %d != visits %d", n, len(seq))
+	}
+	return seq
+}
+
+// relaxedFactory is an E4-style configuration: procs processes racing on
+// a relaxed WRN_k wrapper, one of them alone on index 1.
+func relaxedFactory(k, procs int) Factory {
+	return func() sim.Config {
+		objects := map[string]sim.Object{}
+		rlx, _ := wrn.NewRelaxed(objects, "W", k)
+		progs := make([]sim.Program, procs)
+		for p := 0; p < procs; p++ {
+			p := p
+			progs[p] = func(ctx *sim.Ctx) sim.Value {
+				if p == 0 {
+					return rlx.RlxWRN(ctx, 1, "solo")
+				}
+				return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
+			}
+		}
+		return sim.Config{Objects: objects, Programs: progs}
 	}
 }
 
@@ -54,10 +100,84 @@ func TestExploreSingleProcess(t *testing.T) {
 	}
 }
 
+// TestExploreLimit: Explore and AnalyzeValency both trip the execution
+// budget with the canonical errLimitExceeded rendering.
 func TestExploreLimit(t *testing.T) {
-	_, err := Explore(counterFactory(3, 2), 5, func(Execution) error { return nil })
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
+	f := counterFactory(3, 2)
+	want := errLimitExceeded(5).Error()
+	_, err := Explore(f, 5, func(Execution) error { return nil })
+	if !errors.Is(err, ErrLimit) || err.Error() != want {
+		t.Fatalf("Explore err = %v, want %q", err, want)
+	}
+	_, err = AnalyzeValency(f, 5)
+	if !errors.Is(err, ErrLimit) || err.Error() != want {
+		t.Fatalf("AnalyzeValency err = %v, want %q", err, want)
+	}
+}
+
+// TestExploreVisitErrorStops: a visit error stops Explore at exactly
+// that visit — the visited executions are the canonical prefix — and is
+// returned to the caller.
+func TestExploreVisitErrorStops(t *testing.T) {
+	f := counterFactory(3, 2)
+	want := collectSeq(t, f)
+	boom := errors.New("boom")
+	const stopAt = 37
+	var got []string
+	n, err := Explore(f, 0, func(e Execution) error {
+		got = append(got, renderExec(e))
+		if len(got) == stopAt {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n != stopAt || !reflect.DeepEqual(got, want[:stopAt]) {
+		t.Errorf("count %d, %d visits; want the first %d canonical executions", n, len(got), stopAt)
+	}
+}
+
+// mine is a deterministic object that panics on its fuse-th application.
+type mine struct {
+	applied, fuse int
+}
+
+func (m *mine) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
+	m.applied++
+	if m.applied == m.fuse {
+		panic(fmt.Sprintf("mine detonated at application %d", m.applied))
+	}
+	return sim.Respond(m.applied)
+}
+
+func mineFactory(procs, steps, fuse int) Factory {
+	return func() sim.Config {
+		programs := make([]sim.Program, procs)
+		for i := range programs {
+			programs[i] = func(ctx *sim.Ctx) sim.Value {
+				last := sim.Value(nil)
+				for s := 0; s < steps; s++ {
+					last = ctx.Invoke("M", "hit")
+				}
+				return last
+			}
+		}
+		return sim.Config{
+			Objects:  map[string]sim.Object{"M": &mine{fuse: fuse}},
+			Programs: programs,
+		}
+	}
+}
+
+// TestExploreSurfacesObjectPanic: an object panicking mid-exploration
+// surfaces as the simulator's *sim.ObjectPanicError.
+func TestExploreSurfacesObjectPanic(t *testing.T) {
+	_, err := Explore(mineFactory(3, 2, 4), 0, func(Execution) error { return nil })
+	var ope *sim.ObjectPanicError
+	if !errors.As(err, &ope) {
+		t.Fatalf("err = %T %v, want *sim.ObjectPanicError", err, err)
 	}
 }
 

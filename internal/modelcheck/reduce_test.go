@@ -315,23 +315,14 @@ func TestReducedValencyRequiresRename(t *testing.T) {
 	}
 }
 
-// TestExploreLimitBoundaryParity pins the documented budget contract at
-// the exact boundary for both engines: at limit == total the full count
-// comes back with no error; at limit == total−1 exactly limit executions
-// are visited before the canonical ErrLimit, with identical (count,
-// error) pairs and a canonical visited prefix.
+// TestExploreLimitBoundaryParity pins Explore's budget contract at the
+// exact boundary: at limit == total the full count comes back with no
+// error; at limit == total−1 exactly limit executions — the canonical
+// prefix — are visited before the canonical ErrLimit.
 func TestExploreLimitBoundaryParity(t *testing.T) {
 	f := counterFactory(3, 2)
-	total, err := Explore(f, 0, func(Execution) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	errStr := func(e error) string {
-		if e == nil {
-			return "<nil>"
-		}
-		return e.Error()
-	}
+	want := collectSeq(t, f)
+	total := len(want)
 	for _, limit := range []int{total, total - 1} {
 		var seq []string
 		seqN, seqErr := Explore(f, limit, func(e Execution) error {
@@ -343,38 +334,15 @@ func TestExploreLimitBoundaryParity(t *testing.T) {
 				t.Fatalf("limit==total: (%d, %v), want (%d, nil)", seqN, seqErr, total)
 			}
 		} else {
-			if !errors.Is(seqErr, ErrLimit) {
-				t.Fatalf("limit==total-1: err = %v, want ErrLimit", seqErr)
+			if !errors.Is(seqErr, ErrLimit) || seqErr.Error() != errLimitExceeded(limit).Error() {
+				t.Fatalf("limit==total-1: err = %v, want %v", seqErr, errLimitExceeded(limit))
 			}
 			if seqN != limit {
 				t.Fatalf("limit==total-1: count %d, want %d (the number of executions visited)", seqN, limit)
 			}
 		}
-		if len(seq) != seqN {
-			t.Fatalf("limit=%d: %d visits but count %d", limit, len(seq), seqN)
-		}
-		for _, workers := range []int{2, 4} {
-			var got []string
-			n, perr := ExploreParallel(f, limit, workers, func(e Execution) error {
-				got = append(got, renderExec(e))
-				return nil
-			})
-			if n != seqN || errStr(perr) != errStr(seqErr) {
-				t.Errorf("limit=%d workers=%d: (%d, %q), want (%d, %q)", limit, workers, n, errStr(perr), seqN, errStr(seqErr))
-			}
-			// On the ErrLimit path the parallel engine may visit fewer
-			// executions (documented), but always a canonical prefix.
-			if len(got) > len(seq) {
-				t.Fatalf("limit=%d workers=%d: %d visits > sequential %d", limit, workers, len(got), len(seq))
-			}
-			for i := range got {
-				if got[i] != seq[i] {
-					t.Fatalf("limit=%d workers=%d: visit %d diverges", limit, workers, i)
-				}
-			}
-			if limit == total && len(got) != len(seq) {
-				t.Errorf("limit==total workers=%d: %d visits, want %d", workers, len(got), len(seq))
-			}
+		if !reflect.DeepEqual(seq, want[:seqN]) {
+			t.Fatalf("limit=%d: %d visits, want the first %d canonical executions", limit, len(seq), seqN)
 		}
 	}
 }

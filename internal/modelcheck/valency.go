@@ -31,10 +31,7 @@ type ValencyReport struct {
 	DisagreementSchedule []int
 }
 
-// valencyAcc accumulates the report fields during one (sub)tree
-// recursion. Every field is either a commutative count or resolved by
-// depth-first position (disagreement), so per-subtree accumulators can
-// be merged deterministically by AnalyzeValencyParallel.
+// valencyAcc accumulates the report fields during one tree recursion.
 type valencyAcc struct {
 	configs, executions, bivalent, critical int
 	values                                  map[string]bool
@@ -80,29 +77,12 @@ func errNondetValency(err error) error {
 	return fmt.Errorf("modelcheck: valency analysis requires deterministic objects: %w", err)
 }
 
-// valencyHooks are the extension points the parallel and adversarial
-// engines need: gate runs at every configuration (abort checks),
-// counted after every complete execution (budget enforcement), and wrap
-// interposes a scheduler layer — typically a chaos fault injector —
-// around the scripted replay. Any may be nil.
-type valencyHooks struct {
-	gate    func() error
-	counted func() error
-	wrap    func(inner sim.Scheduler) sim.Scheduler
-}
-
 // valencyRec returns the set of decision values reachable from the
 // configuration reached by sched, accumulating tree statistics into acc.
-// It is the single recursion both AnalyzeValency and
-// AnalyzeValencyParallel run, so their per-subtree numbers agree by
-// construction.
-func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (map[string]bool, error) {
-	if hooks.gate != nil {
-		if err := hooks.gate(); err != nil {
-			return nil, err
-		}
-	}
-	res, err := runScriptedUnder(f, hooks.wrap, sched, nil)
+// wrap (when non-nil) interposes an adversary around every scripted
+// replay; limit bounds the complete executions.
+func valencyRec(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched []int, acc *valencyAcc, limit int) (map[string]bool, error) {
+	res, err := runScriptedUnder(f, wrap, sched, nil)
 	if err != nil {
 		var demand choiceDemand
 		if asDemand(err, &demand) {
@@ -113,10 +93,8 @@ func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (ma
 	acc.configs++
 	if len(res.Enabled) == 0 {
 		acc.executions++
-		if hooks.counted != nil {
-			if err := hooks.counted(); err != nil {
-				return nil, err
-			}
+		if acc.executions > limit {
+			return nil, errLimitExceeded(limit)
 		}
 		vals := decisionValues(res)
 		if len(vals) > 1 && acc.disagreement == nil {
@@ -130,7 +108,7 @@ func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (ma
 	union := make(map[string]bool)
 	allChildrenUnivalent := true
 	for _, id := range res.Enabled {
-		child, err := valencyRec(f, appendStep(sched, id), acc, hooks)
+		child, err := valencyRec(f, wrap, appendStep(sched, id), acc, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -154,20 +132,7 @@ func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (ma
 // protocol and reports its valency structure. Decision values are the
 // outputs of processes with StatusDone. limit bounds complete executions.
 func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	acc := newValencyAcc()
-	_, err := valencyRec(f, nil, acc, valencyHooks{counted: func() error {
-		if acc.executions > limit {
-			return errLimitExceeded(limit)
-		}
-		return nil
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return acc.report(), nil
+	return AnalyzeValencyUnder(f, nil, limit)
 }
 
 // AnalyzeValencyUnder is AnalyzeValency with an adversary interposed
@@ -180,7 +145,7 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 // adversary must be constructed inside wrap (not closed over): every
 // configuration then replays its prefix under identical fault
 // decisions, which keeps the execution tree well-defined. A nil wrap
-// degenerates to AnalyzeValency — the full-persistence baseline, since
+// is plain AnalyzeValency — the full-persistence baseline, since
 // without fault directives a crash-recovery pause keeps all state.
 //
 // The report reads as usual, but over the faulty tree: Agreement is
@@ -196,16 +161,7 @@ func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler
 		limit = 1 << 20
 	}
 	acc := newValencyAcc()
-	_, err := valencyRec(f, nil, acc, valencyHooks{
-		wrap: wrap,
-		counted: func() error {
-			if acc.executions > limit {
-				return errLimitExceeded(limit)
-			}
-			return nil
-		},
-	})
-	if err != nil {
+	if _, err := valencyRec(f, wrap, nil, acc, limit); err != nil {
 		return nil, err
 	}
 	return acc.report(), nil

@@ -7,16 +7,21 @@ import (
 	"detobj/internal/sim"
 )
 
-// TestValencySwapConsensus (E11): the SWAP-based 2-consensus protocol
-// agrees in EVERY execution, its initial configuration is bivalent, and a
-// critical configuration exists — the shape of Herlihy's argument.
-func TestValencySwapConsensus(t *testing.T) {
-	f := func() sim.Config {
+// swapConsensusFactory is the SWAP-based 2-consensus protocol on inputs
+// 10 and 20.
+func swapConsensusFactory() Factory {
+	return func() sim.Config {
 		objects := map[string]sim.Object{}
 		progs := consensus.TwoConsFromSwap(objects, "C", 10, 20)
 		return sim.Config{Objects: objects, Programs: progs}
 	}
-	rep, err := AnalyzeValency(f, 0)
+}
+
+// TestValencySwapConsensus (E11): the SWAP-based 2-consensus protocol
+// agrees in EVERY execution, its initial configuration is bivalent, and a
+// critical configuration exists — the shape of Herlihy's argument.
+func TestValencySwapConsensus(t *testing.T) {
+	rep, err := AnalyzeValency(swapConsensusFactory(), 0)
 	if err != nil {
 		t.Fatalf("AnalyzeValency: %v", err)
 	}

@@ -1,5 +1,5 @@
 // Package par is the repository's deterministic worker-pool substrate.
-// The workloads it serves — exhaustive exploration, seed sweeps, soak
+// The workloads it serves — the driver seed sweeps and the soak
 // campaigns — are embarrassingly parallel *and* determinism-critical:
 // every caller's observable output must be a pure function of its
 // inputs, never of goroutine arrival order. The package therefore

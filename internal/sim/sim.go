@@ -22,8 +22,9 @@
 // # Concurrency contract
 //
 // Concurrent calls to Run are safe if and only if the Configs share no
-// mutable state. The parallel engines (modelcheck.ExploreParallel, the
-// -parallel seed sweeps) rely on exactly this, so the contract is:
+// mutable state. The parallel seed sweeps (par.ForEach in cmd/wrnsim,
+// cmd/chaos and the soak tests) rely on exactly this, so the contract
+// is:
 //
 //   - Objects, Scheduler, Choice and (if the scheduler implements it)
 //     Observer instances belong to ONE run. They hold per-run state and
