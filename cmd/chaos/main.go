@@ -158,8 +158,6 @@ func simRun(seed int64, k int, mk func(r *chaos.Report) sim.Scheduler, r *chaos.
 
 // simSweep runs every simulator adversary for one seed, twice each,
 // demanding byte-identical traces and reports across the two runs.
-//
-//detlint:hot
 func simSweep(w io.Writer, seed int64, verbose bool) error {
 	const k = 4
 	victim := int(seed) % k
@@ -231,8 +229,6 @@ func simSweep(w io.Writer, seed int64, verbose bool) error {
 // among the survivors. The printed line carries only the seed's
 // deterministic fault plan, so the sweep output reproduces byte for
 // byte.
-//
-//detlint:hot
 func nativeSweep(w io.Writer, seed int64) error {
 	const k, m = 3, 16
 	ids := []int{2, 9, 14}
@@ -437,8 +433,6 @@ func restartControl(k int) (broken, points int, err error) {
 // accounting, recoverable-WRN exactly-once semantics and recoverable-
 // register persistence safety — then checks the plain-WRN negative
 // control still breaks under the same adversary family.
-//
-//detlint:hot
 func restartSweep(w io.Writer, seed int64, verbose bool) error {
 	const k = 3
 	victim := int(seed) % k

@@ -23,20 +23,15 @@
 //
 // -rules=<comma-list> runs a subset of the suite (allowaudit only
 // judges allows whose rules all ran, so a partial run cannot declare an
-// annotation stale). -hot runs just the hot-path rules (hotalloc,
-// boxing, arenaready), whose allocation findings are capped by the
-// committed per-function budgets in .detlint.hot — each hot rule judges
-// only its own budget entries, so a run that skips a rule says nothing
-// about that rule's budgets. -parallel runs just the
-// parallel-determinism rules (slotdiscipline, mergeorder, sharedsink,
-// seedflow; v6), which statically enforce internal/par's ForEach
-// contract: workers write only index-derived slots, merges reduce in
-// index order, shared sinks match documented shapes, and worker inputs
-// are pure functions of the index. -hotreport=<path> additionally
-// writes a byte-stable JSON ranking of hot functions by static
-// allocation score, cross-referencing the newest BENCH_*.json
-// allocs/op figures; when no parsable BENCH_*.json exists the report
-// carries a note and the bench columns are simply absent.
+// annotation stale). -parallel runs just the parallel-determinism rules
+// (slotdiscipline, mergeorder, sharedsink, seedflow; v6), which
+// statically enforce internal/par's ForEach contract: workers write only
+// index-derived slots, merges reduce in index order, shared sinks match
+// documented shapes, and worker inputs are pure functions of the index.
+//
+// Allocation discipline on the per-node hot paths is not a detlint
+// rule: the AllocGate tests in internal/modelcheck and internal/sim
+// measure it exactly with testing.AllocsPerRun.
 //
 // Runs are incremental: the result of a clean run is cached in
 // .detlint.cache at the module root, keyed by a content hash of every
@@ -68,9 +63,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
 	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
-	hot := flag.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing, arenaready)")
 	parallel := flag.Bool("parallel", false, "run only the parallel-determinism rules (slotdiscipline, mergeorder, sharedsink, seedflow)")
-	hotReport := flag.String("hotreport", "", "write a JSON ranking of hot functions by allocation score to the given path")
 	flag.Parse()
 
 	if *list || *listRules {
@@ -88,14 +81,8 @@ func main() {
 	}
 
 	analyzers := lint.Analyzers()
-	if (*hot || *parallel) && *rules != "" {
-		fatal(fmt.Errorf("detlint: -hot/-parallel and -rules are mutually exclusive"))
-	}
-	if *hot && *parallel {
-		fatal(fmt.Errorf("detlint: -hot and -parallel are mutually exclusive"))
-	}
-	if *hot {
-		analyzers = lint.HotAnalyzers()
+	if *parallel && *rules != "" {
+		fatal(fmt.Errorf("detlint: -parallel and -rules are mutually exclusive"))
 	}
 	if *parallel {
 		analyzers = lint.ParallelAnalyzers()
@@ -136,34 +123,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "detlint: cache hit")
 		}
 	}
-	var mod *lint.Module
-	if report == nil || *hotReport != "" {
-		m, err := lint.Load(root)
+	if report == nil {
+		mod, err := lint.Load(root)
 		if err != nil {
 			fatal(err)
 		}
-		mod = m
-	}
-	if report == nil {
 		report = lint.NewReport(root, lint.Run(mod, analyzers))
 		if !*noCache {
 			if err := lint.SaveCache(root, &lint.CachedRun{Key: key, Report: report}); err != nil {
 				fmt.Fprintf(os.Stderr, "detlint: cache not written: %v\n", err)
 			}
-		}
-	}
-
-	if *hotReport != "" {
-		hr := lint.BuildHotReport(mod)
-		if hr.Note != "" {
-			fmt.Fprintf(os.Stderr, "detlint: hotreport: %s\n", hr.Note)
-		}
-		b, err := hr.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*hotReport, b, 0o644); err != nil {
-			fatal(err)
 		}
 	}
 

@@ -355,7 +355,6 @@ func expE20(w io.Writer) error {
 			return fmt.Errorf("%s full-persistence: %w", r.name, err)
 		}
 		sweeps, configs, executions, disagreeing := 0, full.Configs, full.Executions, 0
-		//detlint:hot the E20 sweep is the calibration's hot loop: one exhaustive valency tree per (victim, crashAt, window) point
 		for _, victim := range victims {
 			for _, crashAt := range crashAts {
 				for _, window := range windows {

@@ -5,9 +5,8 @@ package lint
 // common case — nothing changed since the last run — should not pay it.
 // The cache key is a content hash over everything a run can observe:
 // the detlint version, the selected rule names, go.mod, EXPERIMENTS.md
-// (facadeparity reads it), .detlint.hot (the hot rules' budgets), and
-// every .go file of the module including _test.go files
-// (schedulecoverage parses tests). If the key matches,
+// (facadeparity reads it), and every .go file of the module including
+// _test.go files (schedulecoverage parses tests). If the key matches,
 // the cached report — findings and all — is the run's result, bit for
 // bit; detlint still exits nonzero on cached findings.
 
@@ -76,7 +75,7 @@ func cacheKeyVersioned(root string, analyzers []*Analyzer, version string) (stri
 	if err != nil {
 		return "", err
 	}
-	for _, extra := range []string{"go.mod", "EXPERIMENTS.md", HotBudgetFileName} {
+	for _, extra := range []string{"go.mod", "EXPERIMENTS.md"} {
 		p := filepath.Join(root, extra)
 		if _, err := os.Stat(p); err == nil {
 			files = append(files, p)

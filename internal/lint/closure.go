@@ -492,3 +492,28 @@ func atomicCall(pkg *Package, call *ast.CallExpr) bool {
 	}
 	return fn.Pkg().Path() == "sync/atomic"
 }
+
+// carriesReference reports whether a value of type t contains a
+// reference the callee could retain (pointer, slice, map, chan, func,
+// string header aside — strings are immutable, retaining one keeps
+// bytes alive but not the local's storage, so they don't count).
+func carriesReference(t types.Type) bool {
+	if t == nil {
+		return true // unknown: conservative
+	}
+	switch u := types.Unalias(t).Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature:
+		return true
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if carriesReference(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return carriesReference(u.Elem())
+	case *types.Interface:
+		return true
+	}
+	return false
+}

@@ -129,9 +129,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerInjectionPurity(),
 		AnalyzerLockOrder(),
 		AnalyzerDecisionFlow(),
-		AnalyzerHotAlloc(),
-		AnalyzerBoxing(),
-		AnalyzerArenaReady(),
 		AnalyzerPersistSplit(),
 		AnalyzerRecoveryReads(),
 		AnalyzerJournalDiscipline(),
@@ -167,16 +164,6 @@ func RecoveryAnalyzers() []*Analyzer {
 	}
 }
 
-// HotAnalyzers returns the escape/hot-path rule subset behind
-// `cmd/detlint -hot` and the CI alloc-gate.
-func HotAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerHotAlloc(),
-		AnalyzerBoxing(),
-		AnalyzerArenaReady(),
-	}
-}
-
 // Run executes the analyzers over the module, drops findings suppressed
 // by justified //detlint:allow comments, appends a finding for every
 // allow comment that lacks a justification, and returns the remainder
@@ -186,9 +173,6 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 		for _, a := range marks {
 			a.used = false
 		}
-	}
-	for _, b := range m.hotBudgets() {
-		b.used = false
 	}
 	selected := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {

@@ -21,41 +21,35 @@ func loadFixtures(t *testing.T) []Diagnostic {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		m, err := LoadWithExtra("../..", map[string]string{
-			"detobj/internal/lintfixture/nodetbad":    "testdata/src/nodetbad",
-			"detobj/internal/lintfixture/nodetok":     "testdata/src/nodetok",
-			"detobj/internal/lintfixture/puritybad":   "testdata/src/puritybad",
-			"detobj/internal/lintfixture/purityok":    "testdata/src/purityok",
-			"detobj/internal/lintfixture/hangbad":     "testdata/src/hangbad",
-			"detobj/internal/lintfixture/hangok":      "testdata/src/hangok",
-			"detobj/internal/lintfixture/schedbad":    "testdata/src/schedbad",
-			"detobj/internal/lintfixture/schedok":     "testdata/src/schedok",
-			"detobj/internal/lintfixture/boundedbad":  "testdata/src/boundedbad",
-			"detobj/internal/lintfixture/boundedok":   "testdata/src/boundedok",
-			"detobj/internal/lintfixture/sharedbad":   "testdata/src/sharedbad",
-			"detobj/internal/lintfixture/sharedok":    "testdata/src/sharedok",
-			"detobj/internal/lintfixture/injectbad":   "testdata/src/injectbad",
-			"detobj/internal/lintfixture/injectok":    "testdata/src/injectok",
-			"detobj/internal/lintfixture/restartbad":  "testdata/src/restartbad",
-			"detobj/internal/lintfixture/restartok":   "testdata/src/restartok",
-			"detobj/internal/lintfixture/lockbad":     "testdata/src/lockbad",
-			"detobj/internal/lintfixture/lockok":      "testdata/src/lockok",
-			"detobj/internal/lintfixture/flowbad":     "testdata/src/flowbad",
-			"detobj/internal/lintfixture/flowok":      "testdata/src/flowok",
-			"detobj/internal/lintfixture/auditbad":    "testdata/src/auditbad",
-			"detobj/internal/lintfixture/auditok":     "testdata/src/auditok",
-			"detobj/internal/lintfixture/embedbad":    "testdata/src/embedbad",
-			"detobj/internal/lintfixture/hotallocbad": "testdata/src/hotallocbad",
-			"detobj/internal/lintfixture/hotallocok":  "testdata/src/hotallocok",
-			"detobj/internal/lintfixture/boxbad":      "testdata/src/boxbad",
-			"detobj/internal/lintfixture/boxok":       "testdata/src/boxok",
-			"detobj/internal/lintfixture/arenabad":    "testdata/src/arenabad",
-			"detobj/internal/lintfixture/arenaok":     "testdata/src/arenaok",
-			"detobj/internal/lintfixture/persistbad":  "testdata/src/persistbad",
-			"detobj/internal/lintfixture/persistok":   "testdata/src/persistok",
-			"detobj/internal/lintfixture/recreadbad":  "testdata/src/recreadbad",
-			"detobj/internal/lintfixture/recreadok":   "testdata/src/recreadok",
-			"detobj/internal/lintfixture/journalbad":  "testdata/src/journalbad",
-			"detobj/internal/lintfixture/journalok":   "testdata/src/journalok",
+			"detobj/internal/lintfixture/nodetbad":      "testdata/src/nodetbad",
+			"detobj/internal/lintfixture/nodetok":       "testdata/src/nodetok",
+			"detobj/internal/lintfixture/puritybad":     "testdata/src/puritybad",
+			"detobj/internal/lintfixture/purityok":      "testdata/src/purityok",
+			"detobj/internal/lintfixture/hangbad":       "testdata/src/hangbad",
+			"detobj/internal/lintfixture/hangok":        "testdata/src/hangok",
+			"detobj/internal/lintfixture/schedbad":      "testdata/src/schedbad",
+			"detobj/internal/lintfixture/schedok":       "testdata/src/schedok",
+			"detobj/internal/lintfixture/boundedbad":    "testdata/src/boundedbad",
+			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
+			"detobj/internal/lintfixture/sharedbad":     "testdata/src/sharedbad",
+			"detobj/internal/lintfixture/sharedok":      "testdata/src/sharedok",
+			"detobj/internal/lintfixture/injectbad":     "testdata/src/injectbad",
+			"detobj/internal/lintfixture/injectok":      "testdata/src/injectok",
+			"detobj/internal/lintfixture/restartbad":    "testdata/src/restartbad",
+			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
+			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
+			"detobj/internal/lintfixture/lockok":        "testdata/src/lockok",
+			"detobj/internal/lintfixture/flowbad":       "testdata/src/flowbad",
+			"detobj/internal/lintfixture/flowok":        "testdata/src/flowok",
+			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
+			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
+			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
+			"detobj/internal/lintfixture/persistbad":    "testdata/src/persistbad",
+			"detobj/internal/lintfixture/persistok":     "testdata/src/persistok",
+			"detobj/internal/lintfixture/recreadbad":    "testdata/src/recreadbad",
+			"detobj/internal/lintfixture/recreadok":     "testdata/src/recreadok",
+			"detobj/internal/lintfixture/journalbad":    "testdata/src/journalbad",
+			"detobj/internal/lintfixture/journalok":     "testdata/src/journalok",
 			"detobj/internal/lintfixture/restartcovbad": "testdata/src/restartcovbad",
 			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
 			"detobj/internal/lintfixture/slotbad":       "testdata/src/slotbad",
@@ -140,25 +134,6 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"flowbad", "decisionflow", "channel receive"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
 		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
-		{"hotallocbad", "hotalloc", "make(map[int]bool) in hot loop"},
-		{"hotallocbad", "hotalloc", "append growth in hot loop"},
-		{"hotallocbad", "hotalloc", "fmt call (fmt.Sprint) in hot loop"},
-		{"hotallocbad", "hotalloc", "escaping composite literal"},
-		{"hotallocbad", "hotalloc", "new(Node) in hot loop"},
-		{"hotallocbad", "hotalloc", "reachable from hotallocbad.Explore"},
-		{"hotallocbad", "hotalloc", "string concatenation in hot loop in hotallocbad.Sweep"},
-		{"hotallocbad", "boxing", "variadic argument boxes a int value"},
-		{"boxbad", "boxing", "variadic argument"},
-		{"boxbad", "boxing", "interface assignment boxes a record struct"},
-		{"boxbad", "boxing", "interface-keyed map index"},
-		{"boxbad", "boxing", "interface-typed row element"},
-		{"arenabad", "arenaready", "field name of arena-nominated arenabad.Node is not flat: string"},
-		{"arenabad", "arenaready", "field kids of arena-nominated arenabad.Node is not flat: slice"},
-		{"arenabad", "arenaready", "field meta of arena-nominated arenabad.Node is not flat: map"},
-		{"arenabad", "arenaready", "field next of arena-nominated arenabad.Node is not flat: pointer"},
-		{"arenabad", "arenaready", "field sub of arena-nominated arenabad.Node is not flat: nested field data: slice"},
-		{"arenabad", "arenaready", "detlint:encoder must carry an inline justification"},
-		{"arenabad", "arenaready", "arena-nominated type arenabad.Table is not flat: map"},
 		{"persistbad", "persistsplit", "field count of persistbad.Cell (a sim.Recoverable implementor) has no //detlint:durable or //detlint:volatile annotation"},
 		{"persistbad", "persistsplit", "field torn of persistbad.Cell carries both //detlint:durable and //detlint:volatile"},
 		{"persistbad", "persistsplit", "OnCrash wipes field saved of persistbad.Cell, which is annotated //detlint:durable — amnesia"},
@@ -213,7 +188,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "hotallocok", "boxok", "arenaok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "mergeok", "sinkok", "seedok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "mergeok", "sinkok", "seedok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}

@@ -49,11 +49,6 @@ type Module struct {
 
 	// cg caches the conservative callgraph across analyzers.
 	cg *CallGraph
-	// hot caches the loop-depth-weighted hot-path reachability
-	// (hotpath.go) across the hotalloc/boxing rules and the hot report.
-	hot *hotInfo
-	// esc caches the module-wide may-escape analysis (escape.go).
-	esc *escAnalysis
 	// persist caches the persistence classification of sim.Recoverable
 	// implementors (persist.go) across the recovery-safety rules.
 	persist *persistInfo
@@ -62,11 +57,6 @@ type Module struct {
 	// themselves (schedulecoverage, restartcoverage) never double-count
 	// a mark across rules or repeated runs.
 	testAllowFiles map[string]bool
-	// budgets caches the parsed .detlint.hot allocation budgets
-	// (hotbudget.go); budgetsLoaded distinguishes "no file" from
-	// "not read yet".
-	budgets       []*hotBudget
-	budgetsLoaded bool
 }
 
 // allowMark is one parsed //detlint:allow comment.

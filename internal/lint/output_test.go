@@ -135,3 +135,35 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Errorf("corrupt cache read as %+v, want miss", c)
 	}
 }
+
+// TestCacheKeyVersionBump: bumping the detlint version must change the
+// cache key of an otherwise untouched tree, so stale caches
+// self-invalidate on upgrade.
+func TestCacheKeyVersionBump(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module cachetest\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package cachetest\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	analyzers := Analyzers()
+	current, err := CacheKey(dir, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := cacheKeyVersioned(dir, analyzers, detlintVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if current != pinned {
+		t.Error("CacheKey does not pin the current version")
+	}
+	old, err := cacheKeyVersioned(dir, analyzers, "detlint/3.0.0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old == current {
+		t.Error("version bump did not change the cache key")
+	}
+}

@@ -333,3 +333,35 @@ func (t *seedTracer) value(v Value) []string {
 	}
 	return nil // params, opaque
 }
+
+// paramTypeAt returns the declared type of the i-th argument slot,
+// unwrapping the variadic tail.
+func paramTypeAt(sig *types.Signature, i int) types.Type {
+	if sig == nil || sig.Params() == nil {
+		return nil
+	}
+	n := sig.Params().Len()
+	if n == 0 {
+		return nil
+	}
+	if sig.Variadic() && i >= n-1 {
+		last := sig.Params().At(n - 1).Type()
+		if sl, ok := last.Underlying().(*types.Slice); ok {
+			return sl.Elem()
+		}
+		return last
+	}
+	if i < n {
+		return sig.Params().At(i).Type()
+	}
+	return nil
+}
+
+// isInterfaceType reports whether t (behind aliases) is an interface.
+func isInterfaceType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := types.Unalias(t).Underlying().(*types.Interface)
+	return ok
+}

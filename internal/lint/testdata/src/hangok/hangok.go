@@ -15,6 +15,5 @@ func (b *Bounded) Apply(_ *sim.Env, _ sim.Invocation) sim.Response {
 		return sim.HangCaller()
 	}
 	b.budget--
-	//detlint:allow boxing responses carry scalars through sim.Value by design
 	return sim.Respond(b.budget)
 }

@@ -23,9 +23,7 @@ func (s *Store) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
 	switch inv.Op {
 	case "stage":
 		if s.stage == nil {
-			//detlint:allow hotalloc lazy first-use map init, the same shape the recoverable register budgets
 			s.stage = make(map[int]sim.Value)
-			//detlint:allow hotalloc lazy first-use map init
 			s.seen = make(map[int]bool)
 		}
 		s.stage[env.Proc] = inv.Arg(0)

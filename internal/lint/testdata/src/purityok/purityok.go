@@ -14,11 +14,9 @@ type Copying struct {
 // Apply implements sim.Object.
 func (c *Copying) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
 	if len(inv.Args) == 0 {
-		//detlint:allow boxing responses carry scalars through sim.Value by design
 		return sim.Respond(c.n)
 	}
 	for _, v := range inv.Args {
-		//detlint:allow hotalloc copying the arguments into receiver state is this fixture's point
 		c.vals = append(c.vals, v)
 	}
 	c.n++

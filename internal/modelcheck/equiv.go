@@ -36,10 +36,7 @@ func stepFinite(s Finite, inv sim.Invocation) (Finite, string) {
 // state and the interned output token of applying one alphabet operation
 // in one reachable state. It is deliberately flat — two int32 indices,
 // no interior pointers — because it is the seed of the ROADMAP's arena
-// encoding for the state-space engines; detlint's arenaready rule
-// machine-checks that flatness on every build.
-//
-//detlint:arena
+// encoding for the state-space engines.
 type transition struct {
 	// succ indexes the sorted state list.
 	succ int32

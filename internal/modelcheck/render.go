@@ -4,11 +4,10 @@ package modelcheck
 // the common cases. The exhaustive engines render a value once per
 // object step — the E6 transition-table build and the valency analysis
 // both sit on this path — and fmt's reflection walk plus its interface
-// boxing of every argument dominated their allocation profiles
-// (detlint's hotalloc/boxing rules now budget this path; see
-// DESIGN.md §7). The rendered strings are byte-identical to
-// fmt.Sprint's output for every type the switch names, and the default
-// arm still delegates to fmt, so reports cannot drift.
+// boxing of every argument dominated their allocation profiles. The
+// rendered strings are byte-identical to fmt.Sprint's output for every
+// type the switch names, and the default arm still delegates to fmt, so
+// reports cannot drift.
 
 import (
 	"fmt"
