@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-sarif lint-full lint-recovery lint-parallel race test test-short bench bench-smoke experiments fuzz chaos clean
+.PHONY: all check build vet lint lint-sarif lint-full lint-recovery race test test-short bench bench-smoke experiments fuzz chaos clean
 
 all: build vet lint test
 
@@ -28,13 +28,7 @@ lint:
 # Just the persistence & recovery-safety rules, cache-free — the local
 # mirror of CI's recovery-gate job.
 lint-recovery:
-	$(GO) run ./cmd/detlint -no-cache -rules persistsplit,recoveryreads,journaldiscipline,restartcoverage ./...
-
-# Just the parallel-determinism rules (the par.ForEach slot/merge/sink/
-# seed contract), cache-free — the local mirror of CI's parallel-gate
-# job.
-lint-parallel:
-	$(GO) run ./cmd/detlint -no-cache -parallel ./...
+	$(GO) run ./cmd/detlint -no-cache -rules persistsplit,journaldiscipline,restartcoverage ./...
 
 # Same suite, also writing a SARIF 2.1.0 log for code-scanning upload.
 lint-sarif:
@@ -43,7 +37,7 @@ lint-sarif:
 # The nightly slow path (.github/workflows/nightly.yml): vet plus the
 # full suite with the result cache bypassed, so a cache-layer bug cannot
 # mask a regression. Run a subset with `go run ./cmd/detlint -rules
-# lockorder,decisionflow ./...` — the cache key covers the rule set.
+# nodeterminism,boundedloop ./...` — the cache key covers the rule set.
 lint-full: vet
 	$(GO) run ./cmd/detlint -no-cache -sarif detlint.sarif ./...
 

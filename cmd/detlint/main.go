@@ -18,16 +18,16 @@
 // comment on the same or the preceding line; the justification is
 // mandatory, and the allowaudit rule reports any justified allow that
 // no longer suppresses a finding. See README.md "Static analysis" for
-// the rule catalogue; v3 adds the SSA-lite/lockset-backed lockorder and
-// decisionflow rules.
+// the rule catalogue; -list-rules prints it.
 //
 // -rules=<comma-list> runs a subset of the suite (allowaudit only
 // judges allows whose rules all ran, so a partial run cannot declare an
-// annotation stale). -parallel runs just the parallel-determinism rules
-// (slotdiscipline, mergeorder, sharedsink, seedflow; v6), which
-// statically enforce internal/par's ForEach contract: workers write only
-// index-derived slots, merges reduce in index order, shared sinks match
-// documented shapes, and worker inputs are pure functions of the index.
+// annotation stale).
+//
+// The par.ForEach determinism contract is not a detlint rule either:
+// the worker-count cross-checks compare every parallel sweep against
+// the sequential run, and nodeterminism flags an order-sensitive merge
+// over a map.
 //
 // Allocation discipline on the per-node hot paths is not a detlint
 // rule: the AllocGate tests in internal/modelcheck and internal/sim
@@ -63,7 +63,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
 	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
-	parallel := flag.Bool("parallel", false, "run only the parallel-determinism rules (slotdiscipline, mergeorder, sharedsink, seedflow)")
 	flag.Parse()
 
 	if *list || *listRules {
@@ -81,12 +80,6 @@ func main() {
 	}
 
 	analyzers := lint.Analyzers()
-	if *parallel && *rules != "" {
-		fatal(fmt.Errorf("detlint: -parallel and -rules are mutually exclusive"))
-	}
-	if *parallel {
-		analyzers = lint.ParallelAnalyzers()
-	}
 	if *rules != "" {
 		want := make(map[string]bool)
 		for _, r := range strings.Split(*rules, ",") {

@@ -6,7 +6,7 @@ package lint
 // The cache key is a content hash over everything a run can observe:
 // the detlint version, the selected rule names, go.mod, EXPERIMENTS.md
 // (facadeparity reads it), and every .go file of the module including
-// _test.go files (schedulecoverage parses tests). If the key matches,
+// _test.go files (restartcoverage parses tests). If the key matches,
 // the cached report — findings and all — is the run's result, bit for
 // bit; detlint still exits nonzero on cached findings.
 

@@ -11,18 +11,12 @@
 //   - nodeterminism: no wall clocks, unseeded randomness, multi-channel
 //     selects, goroutine spawns, or order-sensitive map iteration inside
 //     internal/ and cmd/.
-//   - objectpurity: sim.Object implementations neither retain Invocation
-//     argument slices, nor mutate package-level state, nor perform I/O in
-//     Apply.
 //   - hangsemantics: bounded-use objects under internal/ park the caller
 //     via the simulator's hang path instead of surfacing errors; the
 //     native package is the one documented exemption.
 //   - facadeparity: every exported constructor of a module referenced by
 //     EXPERIMENTS.md's module index is reachable through the api.go
 //     facade.
-//   - schedulecoverage: test packages that drive sim.Run must vary the
-//     schedule beyond the default round-robin — a seeded random sweep, a
-//     crashing schedule, a chaos adversary, or exhaustive exploration.
 //   - boundedloop: every loop reachable from a decision path (Apply,
 //     Propose, WRN, Decide, Elect, Scan, Update) carries a progress
 //     metric — a bounded counter, a finite range, or a helping read —
@@ -30,42 +24,16 @@
 //   - sharedstate: struct fields of native types that are mutable after
 //     construction and reachable from exported operations go through
 //     sync/atomic or a held mutex.
-//   - injectionpurity: chaos injection decisions (anything returning
-//     native.Fault) are pure functions of (seed, site, visit).
-//   - lockorder: the module-wide lock-acquisition-order graph is
-//     acyclic, no sync mutex is re-acquired while held, no field is
-//     guarded by disjoint locks, and no field mixes atomic and plain
-//     access.
-//   - decisionflow: every value returned from a decision method is
-//     taint-traced through the SSA-lite value graph back to wall
-//     clocks, randomness, map order, channel scheduling, and
-//     unsynchronized reads.
 //   - persistsplit: every field of a sim.Recoverable implementor is
 //     declared //detlint:durable or //detlint:volatile, and OnCrash
 //     wipes exactly the volatile set — a wiped durable field is
 //     amnesia, an untouched volatile field is ghost state.
-//   - recoveryreads: code reachable from a RecoveryProc or Recovery
-//     method re-derives volatile fields before reading them
-//     (must-write-before-read on the CFG).
 //   - journaldiscipline: on methods of //detlint:journaled types,
 //     durable writes flow through the journal append before the
 //     response, and the response derives from the journal.
 //   - restartcoverage: test packages arming amnesiac restart
 //     adversaries target recoverable objects, or carry a
 //     negative-control allow.
-//   - slotdiscipline: par.ForEach workers write captured state only
-//     through index-derived slots (an SSA-lite proof that the subscript
-//     derives from the worker index), sync/atomic, or a mutex.
-//   - mergeorder: code consuming per-index results after a ForEach
-//     reduces in index order — no map-range merges with order-sensitive
-//     bodies, no completion-order channel receives, no unstable sorts
-//     keyed off the index.
-//   - sharedsink: shared accumulators captured by workers match a
-//     documented shape (atomic counter, one-mutex sink, index slots),
-//     and post-spawn reads carry a proven happens-before.
-//   - seedflow: worker inputs — seeds, configs, slot values — are pure
-//     functions of the worker index, never wall clocks, shared RNG
-//     draws, map order, or channel receives.
 //   - allowaudit: every justified //detlint:allow must still suppress a
 //     finding; stale annotations are findings themselves.
 //
@@ -120,36 +88,14 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoDeterminism(),
-		AnalyzerObjectPurity(),
 		AnalyzerHangSemantics(),
 		AnalyzerFacadeParity(),
-		AnalyzerScheduleCoverage(),
 		AnalyzerBoundedLoop(),
 		AnalyzerSharedState(),
-		AnalyzerInjectionPurity(),
-		AnalyzerLockOrder(),
-		AnalyzerDecisionFlow(),
 		AnalyzerPersistSplit(),
-		AnalyzerRecoveryReads(),
 		AnalyzerJournalDiscipline(),
 		AnalyzerRestartCoverage(),
-		AnalyzerSlotDiscipline(),
-		AnalyzerMergeOrder(),
-		AnalyzerSharedSink(),
-		AnalyzerSeedFlow(),
 		AnalyzerAllowAudit(),
-	}
-}
-
-// ParallelAnalyzers returns the parallel-determinism rule subset behind
-// the CI parallel-gate job: the par.ForEach slot/merge/sink/seed
-// contract.
-func ParallelAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerSlotDiscipline(),
-		AnalyzerMergeOrder(),
-		AnalyzerSharedSink(),
-		AnalyzerSeedFlow(),
 	}
 }
 
@@ -158,7 +104,6 @@ func ParallelAnalyzers() []*Analyzer {
 func RecoveryAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerPersistSplit(),
-		AnalyzerRecoveryReads(),
 		AnalyzerJournalDiscipline(),
 		AnalyzerRestartCoverage(),
 	}

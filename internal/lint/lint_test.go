@@ -23,43 +23,21 @@ func loadFixtures(t *testing.T) []Diagnostic {
 		m, err := LoadWithExtra("../..", map[string]string{
 			"detobj/internal/lintfixture/nodetbad":      "testdata/src/nodetbad",
 			"detobj/internal/lintfixture/nodetok":       "testdata/src/nodetok",
-			"detobj/internal/lintfixture/puritybad":     "testdata/src/puritybad",
-			"detobj/internal/lintfixture/purityok":      "testdata/src/purityok",
 			"detobj/internal/lintfixture/hangbad":       "testdata/src/hangbad",
 			"detobj/internal/lintfixture/hangok":        "testdata/src/hangok",
-			"detobj/internal/lintfixture/schedbad":      "testdata/src/schedbad",
-			"detobj/internal/lintfixture/schedok":       "testdata/src/schedok",
 			"detobj/internal/lintfixture/boundedbad":    "testdata/src/boundedbad",
 			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
 			"detobj/internal/lintfixture/sharedbad":     "testdata/src/sharedbad",
 			"detobj/internal/lintfixture/sharedok":      "testdata/src/sharedok",
-			"detobj/internal/lintfixture/injectbad":     "testdata/src/injectbad",
-			"detobj/internal/lintfixture/injectok":      "testdata/src/injectok",
-			"detobj/internal/lintfixture/restartbad":    "testdata/src/restartbad",
-			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
-			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
-			"detobj/internal/lintfixture/lockok":        "testdata/src/lockok",
-			"detobj/internal/lintfixture/flowbad":       "testdata/src/flowbad",
-			"detobj/internal/lintfixture/flowok":        "testdata/src/flowok",
 			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
 			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
 			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
 			"detobj/internal/lintfixture/persistbad":    "testdata/src/persistbad",
 			"detobj/internal/lintfixture/persistok":     "testdata/src/persistok",
-			"detobj/internal/lintfixture/recreadbad":    "testdata/src/recreadbad",
-			"detobj/internal/lintfixture/recreadok":     "testdata/src/recreadok",
 			"detobj/internal/lintfixture/journalbad":    "testdata/src/journalbad",
 			"detobj/internal/lintfixture/journalok":     "testdata/src/journalok",
 			"detobj/internal/lintfixture/restartcovbad": "testdata/src/restartcovbad",
 			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
-			"detobj/internal/lintfixture/slotbad":       "testdata/src/slotbad",
-			"detobj/internal/lintfixture/slotok":        "testdata/src/slotok",
-			"detobj/internal/lintfixture/mergebad":      "testdata/src/mergebad",
-			"detobj/internal/lintfixture/mergeok":       "testdata/src/mergeok",
-			"detobj/internal/lintfixture/sinkbad":       "testdata/src/sinkbad",
-			"detobj/internal/lintfixture/sinkok":        "testdata/src/sinkok",
-			"detobj/internal/lintfixture/seedbad":       "testdata/src/seedbad",
-			"detobj/internal/lintfixture/seedok":        "testdata/src/seedok",
 		})
 		if err != nil {
 			fixtureErr = err
@@ -99,14 +77,10 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"nodetbad", "nodeterminism", "order-sensitive body"},
 		{"nodetbad", "nodeterminism", "never sorts"},
 		{"nodetbad", "allow", "justification"},
-		{"puritybad", "objectpurity", "must not retain inv.Args"},
-		{"puritybad", "objectpurity", "mutates package-level state"},
-		{"puritybad", "objectpurity", "performs I/O (fmt.Println)"},
 		{"hangbad", "hangsemantics", "constructs an error (fmt.Errorf)"},
 		{"hangbad", "hangsemantics", "constructs an error (errors.New)"},
 		{"hangbad", "hangsemantics", "responds with an error value"},
 		{"hangbad", "hangsemantics", "bounded-use violation surfaced as error ErrSlotUsed"},
-		{"schedbad", "schedulecoverage", "only under the default round-robin schedule"},
 		{"boundedbad", "boundedloop", "can neither exit"},
 		{"boundedbad", "boundedloop", "spins until shared state changes"},
 		{"boundedbad", "boundedloop", "ranges over a channel"},
@@ -114,24 +88,6 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"boundedbad", "boundedloop", "reachable from boundedbad.(Obj).Propose"},
 		{"sharedbad", "sharedstate", "field val of sharedbad.Gauge"},
 		{"sharedbad", "sharedstate", "field peak of sharedbad.Gauge"},
-		{"injectbad", "injectionpurity", "time.Now"},
-		{"injectbad", "injectionpurity", "rand.Intn"},
-		{"injectbad", "injectionpurity", "runtime.NumGoroutine"},
-		{"injectbad", "injectionpurity", "channel receive"},
-		{"injectbad", "injectionpurity", "select statement"},
-		{"restartbad", "injectionpurity", "time.Now"},
-		{"restartbad", "injectionpurity", "rand.Intn"},
-		{"restartbad", "injectionpurity", "channel receive"},
-		{"restartbad", "injectionpurity", "in restartbad.(Adversary).fromChan"},
-		{"restartbad", "schedulecoverage", "only under the default round-robin schedule"},
-		{"lockbad", "lockorder", "lock-order cycle among"},
-		{"lockbad", "lockorder", "acquired in lockbad.(Cell).Again while already held"},
-		{"lockbad", "lockorder", "field m of lockbad.Pair is guarded by"},
-		{"lockbad", "lockorder", "mixed atomic/plain"},
-		{"flowbad", "decisionflow", "time.Now (wall clock) (via flowbad.stampNow)"},
-		{"flowbad", "decisionflow", "map iteration order"},
-		{"flowbad", "decisionflow", "unsynchronized read of field grade"},
-		{"flowbad", "decisionflow", "channel receive"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
 		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
 		{"persistbad", "persistsplit", "field count of persistbad.Cell (a sim.Recoverable implementor) has no //detlint:durable or //detlint:volatile annotation"},
@@ -140,37 +96,12 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"persistbad", "persistsplit", "OnCrash never wipes field tmp of persistbad.Cell, which is annotated //detlint:volatile — ghost state"},
 		{"persistbad", "persistsplit", "//detlint:volatile on field tmp of persistbad.Cell must carry an inline justification"},
 		{"persistbad", "persistsplit", "//detlint:durable attaches to no field or type of a sim.Recoverable implementor"},
-		{"recreadbad", "recoveryreads", "reads volatile field table of recreadbad.Cache before re-deriving it"},
-		{"recreadbad", "recoveryreads", "reads volatile field hits of recreadbad.Cache"},
-		{"recreadbad", "recoveryreads", "recovery code reachable from"},
 		{"journalbad", "journaldiscipline", "durable write to field count of journalbad.Log"},
 		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Aside does not derive from the journal"},
 		{"journalbad", "journaldiscipline", "journal field rec of journalbad.Wiped is volatile"},
 		{"journalbad", "journaldiscipline", "journaled type journalbad.Empty nominates no //detlint:journal fields"},
 		{"journalbad", "journaldiscipline", "field j of journalbad.Unnominated is marked //detlint:journal but the type carries no //detlint:journaled nomination"},
 		{"restartcovbad", "restartcoverage", "arms the amnesiac restart adversary NewRepeatedCrashRestart but never touches a recoverable constructor"},
-		{"slotbad", "slotdiscipline", `assignment to captured variable "total"`},
-		{"slotbad", "slotdiscipline", `write into captured map "out"`},
-		{"slotbad", "slotdiscipline", `write to captured "slots" at a subscript not derived from the worker index`},
-		{"slotbad", "slotdiscipline", `write to field count of captured "t"`},
-		{"slotbad", "slotdiscipline", `write through captured pointer "p"`},
-		{"slotbad", "slotdiscipline", `write through "s", which aliases captured state`},
-		{"slotbad", "slotdiscipline", `test worker assigns captured variable "total"`},
-		{"slotbad", "slotdiscipline", `test worker writes captured "slots" at a subscript not derived`},
-		{"mergebad", "mergeorder", `worker-filled map "hist" with an order-sensitive body`},
-		{"mergebad", "mergeorder", `collects "keys" in iteration order but never sorts it`},
-		{"mergebad", "mergeorder", `range over channel "results" collects worker results in completion order`},
-		{"mergebad", "mergeorder", `receive from "results" collects worker results in completion order`},
-		{"mergebad", "mergeorder", `unstable sort of worker-produced "recs" keyed on cost`},
-		{"sinkbad", "sharedsink", `writes captured "count" outside any documented shape`},
-		{"sinkbad", "sharedsink", `captured "hits" is written under different locks; a shared sink needs one common mutex`},
-		{"sinkbad", "sharedsink", `read of worker-written "total" with no proven happens-before`},
-		{"sinkbad", "sharedsink", `captured "sum" is written under different locks across par.ForEach workers`},
-		{"seedbad", "seedflow", "time.Now (wall clock)"},
-		{"seedbad", "seedflow", "rand.Int63 (global random source)"},
-		{"seedbad", "seedflow", `a draw from shared RNG "rng"`},
-		{"seedbad", "seedflow", "map iteration order"},
-		{"seedbad", "seedflow", "a channel receive (completion order)"},
 	}
 	for _, want := range expect {
 		found := false
@@ -188,7 +119,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "mergeok", "sinkok", "seedok"} {
+	for _, clean := range []string{"nodetok", "hangok", "boundedok", "sharedok", "auditok", "persistok", "journalok", "restartcovok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}

@@ -52,11 +52,10 @@ type Module struct {
 	// persist caches the persistence classification of sim.Recoverable
 	// implementors (persist.go) across the recovery-safety rules.
 	persist *persistInfo
-	// testAllowFiles records the test files whose //detlint:allow
-	// comments are already indexed, so the rules that parse test files
-	// themselves (schedulecoverage, restartcoverage) never double-count
-	// a mark across rules or repeated runs.
-	testAllowFiles map[string]bool
+	// allowFiles records the files whose //detlint:allow comments are
+	// already indexed, so a rule that parses test files itself
+	// (restartcoverage) never double-counts a mark across repeated runs.
+	allowFiles map[string]bool
 }
 
 // allowMark is one parsed //detlint:allow comment.
@@ -69,6 +68,41 @@ type allowMark struct {
 	// (or exempts a field declaration); the allowaudit rule reports
 	// justified marks that stay unused across a full run.
 	used bool
+}
+
+// collectFileAllows indexes a file's //detlint:allow comments. It is
+// idempotent per file: restartcoverage parses test files itself, the
+// driver can run more than once on one Module, and a duplicated mark
+// would read as stale to allowaudit — suppression only marks the first
+// match used.
+func collectFileAllows(m *Module, f *ast.File) {
+	name := m.Fset.Position(f.Pos()).Filename
+	if m.allowFiles[name] {
+		return
+	}
+	m.allowFiles[name] = true
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			rest, ok := strings.CutPrefix(text, "detlint:allow")
+			if !ok {
+				continue
+			}
+			fields := strings.Fields(rest)
+			mark := &allowMark{
+				pos:   m.Fset.Position(c.Pos()),
+				rules: make(map[string]bool),
+			}
+			mark.line = mark.pos.Line
+			if len(fields) > 0 {
+				for _, r := range strings.Split(fields[0], ",") {
+					mark.rules[r] = true
+				}
+				mark.justified = len(fields) > 1
+			}
+			m.allows[mark.pos.Filename] = append(m.allows[mark.pos.Filename], mark)
+		}
+	}
 }
 
 // Load walks the module rooted at root (its go.mod directory), parses
@@ -91,11 +125,12 @@ func LoadWithExtra(root string, extra map[string]string) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{
-		Root:   root,
-		Path:   modPath,
-		Fset:   token.NewFileSet(),
-		byPath: make(map[string]*Package),
-		allows: make(map[string][]*allowMark),
+		Root:       root,
+		Path:       modPath,
+		Fset:       token.NewFileSet(),
+		byPath:     make(map[string]*Package),
+		allows:     make(map[string][]*allowMark),
+		allowFiles: make(map[string]bool),
 	}
 	l := &loader{
 		m:       m,
@@ -153,9 +188,8 @@ func (m *Module) InScope(pkg *Package, tops ...string) bool {
 }
 
 // isFixture reports whether pkg is a grafted test fixture whose import
-// path ends in one of the given package names; the scoped rules
-// (sharedstate, injectionpurity) use it to pull their fixtures into
-// scope without widening the real-tree scope.
+// path ends in one of the given package names; sharedstate uses it to
+// pull its fixtures into scope without widening the real-tree scope.
 func (m *Module) isFixture(pkg *Package, names ...string) bool {
 	if !strings.Contains(pkg.Path, "/lintfixture/") {
 		return false

@@ -9,21 +9,17 @@ package lint
 //
 // Lock identity is the *types.Var of the mutex (a struct field or a
 // local/package variable), abstracting over instances: s.mu and t.mu of
-// the same struct type are the same lock. That is exactly the
-// granularity the lock-order graph needs — deadlock cycles between
-// *fields* are real regardless of which instances are involved — and it
-// keeps the analysis instance-insensitive and cheap.
+// the same struct type are the same lock. That keeps the analysis
+// instance-insensitive and cheap.
 //
 // Deferred unlocks are ignored: a deferred Unlock runs at return, so
 // within the body the lock stays held, which is precisely what the
 // must-hold fact should say. TryLock never generates (its success is
-// conditional). Calls are not transparent here — interprocedural
-// effects are the lockorder rule's job, via the per-call-site held sets
-// this file records.
+// conditional). Calls are not transparent: a lock taken inside a callee
+// is not credited to the caller.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -34,33 +30,6 @@ type LockFacts struct {
 	// Before maps each block-member statement to the must-hold set in
 	// effect immediately before the statement executes.
 	Before map[ast.Stmt][]*types.Var
-	// Acquires lists every unconditional acquisition site in source
-	// order.
-	Acquires []LockAcquire
-	// Calls lists every call expression evaluated at a block position,
-	// with the must-hold set at the site, in source order.
-	Calls []LockedCall
-}
-
-// LockAcquire is one Lock/RLock call site.
-type LockAcquire struct {
-	// Lock is the mutex being acquired.
-	Lock *types.Var
-	// Held is the must-hold set immediately before the acquisition
-	// (never contains Lock unless the function re-acquires).
-	Held []*types.Var
-	// Read reports an RLock.
-	Read bool
-	// Pos is the call position.
-	Pos token.Pos
-}
-
-// LockedCall is one call expression with the locks held at the site.
-type LockedCall struct {
-	// Call is the call expression.
-	Call *ast.CallExpr
-	// Held is the must-hold set at the call.
-	Held []*types.Var
 }
 
 // ComputeLockFacts runs the dataflow over a function body's CFG.
@@ -94,21 +63,19 @@ func ComputeLockFacts(pkg *Package, cfg *CFG) *LockFacts {
 	}
 
 	// Recording pass: with the solution fixed, walk blocks in index
-	// order so Before, Acquires, and Calls come out in deterministic
-	// source order.
+	// order so each statement's Before set is the one from its first
+	// block position.
 	for _, b := range cfg.Blocks {
 		if !reached[b] {
 			continue
 		}
 		transferLocks(pkg, b, in[b], lf)
 	}
-	sort.Slice(lf.Acquires, func(i, j int) bool { return lf.Acquires[i].Pos < lf.Acquires[j].Pos })
-	sort.Slice(lf.Calls, func(i, j int) bool { return lf.Calls[i].Call.Pos() < lf.Calls[j].Call.Pos() })
 	return lf
 }
 
 // transferLocks pushes a must-hold set through one block. When rec is
-// non-nil the pass also records per-statement facts and events.
+// non-nil the pass also records per-statement facts.
 func transferLocks(pkg *Package, b *Block, held []*types.Var, rec *LockFacts) []*types.Var {
 	for _, st := range b.Stmts {
 		if rec != nil {
@@ -127,20 +94,12 @@ func transferLocks(pkg *Package, b *Block, held []*types.Var, rec *LockFacts) []
 			if !ok {
 				return true
 			}
-			if rec != nil {
-				rec.Calls = append(rec.Calls, LockedCall{Call: call, Held: cur})
-			}
 			lock, op := mutexOp(pkg, call)
 			if lock == nil {
 				return true
 			}
 			switch op {
 			case "Lock", "RLock":
-				if rec != nil {
-					rec.Acquires = append(rec.Acquires, LockAcquire{
-						Lock: lock, Held: cur, Read: op == "RLock", Pos: call.Pos(),
-					})
-				}
 				cur = addLock(cur, lock)
 			case "Unlock", "RUnlock":
 				cur = delLock(cur, lock)

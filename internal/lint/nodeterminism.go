@@ -104,6 +104,32 @@ func checkDetSelector(m *Module, pkg *Package, sel *ast.SelectorExpr) (Diagnosti
 	return Diagnostic{}, false
 }
 
+// isGlobalRand reports a package-level function of math/rand or
+// math/rand/v2 backed by the shared global source.
+func isGlobalRand(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	p := fn.Pkg().Path()
+	if p != "math/rand" && p != "math/rand/v2" {
+		return false
+	}
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return false
+	}
+	return globalRandFuncs[fn.Name()]
+}
+
+// isPackageScoped reports whether a variable is declared at package
+// scope.
+func isPackageScoped(v *types.Var) bool {
+	if v.IsField() {
+		return false
+	}
+	p := v.Pkg()
+	return p != nil && v.Parent() == p.Scope()
+}
+
 // checkMapRange flags `range` over a map whose loop body is
 // order-sensitive.
 func checkMapRange(m *Module, pkg *Package, rs *ast.RangeStmt, parents map[ast.Node]ast.Node) []Diagnostic {

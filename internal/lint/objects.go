@@ -8,10 +8,7 @@ import (
 // applyMethod is the Apply method of one sim.Object implementation.
 type applyMethod struct {
 	pkg  *Package
-	file *ast.File
 	decl *ast.FuncDecl
-	// invParam is the sim.Invocation parameter's object (nil if blank).
-	invParam types.Object
 }
 
 // objectInterface returns the module's sim.Object interface, or nil when
@@ -65,14 +62,7 @@ func applyMethods(m *Module) []applyMethod {
 				if !impl[receiverTypeName(fd)] {
 					continue
 				}
-				am := applyMethod{pkg: pkg, file: f, decl: fd}
-				// The Invocation parameter is the second one by the
-				// sim.Object signature.
-				params := fd.Type.Params.List
-				if len(params) >= 2 && len(params[1].Names) > 0 {
-					am.invParam = pkg.Info.Defs[params[1].Names[0]]
-				}
-				out = append(out, am)
+				out = append(out, applyMethod{pkg: pkg, decl: fd})
 			}
 		}
 	}

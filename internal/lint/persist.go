@@ -27,9 +27,9 @@ package lint
 // findings: unannotated fields, contradictory or unjustified
 // annotations, durable fields OnCrash wipes (amnesia), volatile fields
 // it misses (ghost state), and annotations that attach to nothing.
-// recoveryreads.go, journaldiscipline.go, and restartcoverage.go build
-// their dataflow on top of the classification computed here, cached on
-// the Module like the callgraph.
+// journaldiscipline.go and restartcoverage.go build their dataflow on
+// top of the classification computed here, cached on the Module like
+// the callgraph.
 
 import (
 	"fmt"
@@ -82,8 +82,7 @@ type persistAnn struct {
 // persistField is the classification of one field of a Recoverable
 // implementor.
 type persistField struct {
-	v     *types.Var
-	owner *persistType
+	v *types.Var
 	// decl locates the field declaration.
 	decl token.Position
 	// wiped reports the field in OnCrash's interprocedural write set;
@@ -122,13 +121,11 @@ func (pt *persistType) name() string {
 }
 
 // persistInfo is the module-wide persistence classification, cached on
-// the Module across the four recovery-safety rules.
+// the Module across the three recovery-safety rules.
 type persistInfo struct {
 	// types lists every Recoverable implementor in declaration order.
 	types   []*persistType
 	byNamed map[*types.Named]*persistType
-	// byField maps every classified field to its record.
-	byField map[*types.Var]*persistField
 	// anns lists every persistence annotation per package, in file and
 	// position order, for the misplaced-annotation audit.
 	anns map[*Package][]*persistAnn
@@ -163,7 +160,6 @@ func recoverableInterface(m *Module) *types.Interface {
 func buildPersistInfo(m *Module) *persistInfo {
 	info := &persistInfo{
 		byNamed: make(map[*types.Named]*persistType),
-		byField: make(map[*types.Var]*persistField),
 		anns:    make(map[*Package][]*persistAnn),
 		byLine:  make(map[string]map[int][]*persistAnn),
 	}
@@ -222,11 +218,10 @@ func buildPersistInfo(m *Module) *persistInfo {
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			fv := st.Field(i)
-			pf := &persistField{v: fv, owner: pt, decl: m.Fset.Position(fv.Pos())}
+			pf := &persistField{v: fv, decl: m.Fset.Position(fv.Pos())}
 			pf.attachFieldAnns(info, fieldLines)
 			pt.fields = append(pt.fields, pf)
 			pt.byVar[fv] = pf
-			info.byField[fv] = pf
 		}
 		if fn := lookupConcreteMethod(named, "OnCrash"); fn != nil {
 			pt.onCrash = g.NodeOf(fn)

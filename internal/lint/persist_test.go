@@ -102,8 +102,8 @@ func TestRealTreeClassification(t *testing.T) {
 }
 
 // TestRecoveryRulesPartialRun pins the -rules contract for the
-// recovery-safety subset: running only the four persistence rules still
-// produces the seeded persistbad/recreadbad/journalbad/restartcovbad
+// recovery-safety subset: running only the three persistence rules
+// still produces the seeded persistbad/journalbad/restartcovbad
 // findings, and allowaudit stays silent about allows naming rules that
 // did not run (the wrn negative-control allow names restartcoverage, so
 // a run without it must not judge that mark).
@@ -121,7 +121,7 @@ func TestRecoveryRulesPartialRun(t *testing.T) {
 			t.Errorf("recovery-subset finding in the real tree: %s", d)
 		}
 	}
-	for _, rule := range []string{"persistsplit", "recoveryreads", "journaldiscipline", "restartcoverage"} {
+	for _, rule := range []string{"persistsplit", "journaldiscipline", "restartcoverage"} {
 		if !wantRules[rule] {
 			t.Errorf("recovery-subset run produced no %s findings; the bad fixtures seed some", rule)
 		}

@@ -11,14 +11,14 @@ package lint
 // constructor unless they carry a //detlint:allow restartcoverage with
 // the control's justification.
 //
-// Like schedulecoverage, the rule parses each package's test files
-// itself (the loader excludes them) and works syntactically; the
-// recoverable-constructor set, however, comes from the typed layer: it
-// is every exported module function from which the construction of a
-// sim.Recoverable implementor (persist.go) is reachable, computed as a
-// reverse fixed point over the callgraph — NewWRN qualifies because it
-// calls NewWRNCore, the api facade wrappers qualify because they call
-// NewWRN. A test file declaring its own OnCrash method is a test-local
+// The rule parses each package's test files itself (the loader
+// excludes them) and works syntactically; the recoverable-constructor
+// set, however, comes from the typed layer: it is every exported
+// module function from which the construction of a sim.Recoverable
+// implementor (persist.go) is reachable, computed as a reverse fixed
+// point over the callgraph — NewWRN qualifies because it calls
+// NewWRNCore, the api facade wrappers qualify because they call NewWRN.
+// A test file declaring its own OnCrash method is a test-local
 // recoverable implementation and exempts the package.
 
 import (

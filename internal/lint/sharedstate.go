@@ -135,9 +135,8 @@ func isConstructor(fd *ast.FuncDecl) bool {
 }
 
 // packageFieldFacts classifies every struct field declared in pkg and
-// marks the ones written outside constructors. Shared by sharedstate
-// and lockorder: both rules only care about fields that change after
-// the object is built.
+// marks the ones written outside constructors: sharedstate only cares
+// about fields that change after the object is built.
 func packageFieldFacts(g *CallGraph, pkg *Package) map[*types.Var]*fieldFacts {
 	facts := make(map[*types.Var]*fieldFacts)
 	scope := pkg.Types.Scope()

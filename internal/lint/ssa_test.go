@@ -304,8 +304,8 @@ func TestFindingOrderTiebreak(t *testing.T) {
 	diags := []Diagnostic{
 		{Pos: mk("b.go", 1, "z", "m").Pos, Rule: "z", Msg: "m"},
 		mk("a.go", 2, "sharedstate", "beta"),
-		mk("a.go", 2, "lockorder", "gamma"),
-		mk("a.go", 2, "lockorder", "alpha"),
+		mk("a.go", 2, "boundedloop", "gamma"),
+		mk("a.go", 2, "boundedloop", "alpha"),
 		mk("a.go", 1, "zzz", "last position wins over rule"),
 	}
 	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
@@ -315,8 +315,8 @@ func TestFindingOrderTiebreak(t *testing.T) {
 	}
 	want := []string{
 		"a.go|zzz|last position wins over rule",
-		"a.go|lockorder|alpha",
-		"a.go|lockorder|gamma",
+		"a.go|boundedloop|alpha",
+		"a.go|boundedloop|gamma",
 		"a.go|sharedstate|beta",
 		"b.go|z|m",
 	}

@@ -25,9 +25,10 @@
 // so each index must touch only its own slot plus data that is
 // read-only for the duration of the loop (see the sim package's
 // "Concurrency contract" for what that means for simulator runs). The
-// slot/merge/sink/seed halves of this contract are machine-checked by
-// detlint's parallel-determinism rules — slotdiscipline, mergeorder,
-// sharedsink, seedflow (see README.md "Static analysis").
+// contract is checked at run time by the worker-count cross-checks,
+// which require every sweep's output to be byte-identical for one
+// worker and for many; detlint's nodeterminism rule flags the common
+// violation, an order-sensitive merge over a map.
 package par
 
 import (
