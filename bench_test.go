@@ -13,6 +13,7 @@ package detobj_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"detobj/internal/bgsim"
@@ -369,6 +370,41 @@ func BenchmarkSimThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(stepsPerRun), "steps/op")
+}
+
+// BenchmarkProcessLifecycle measures one process's whole life in the
+// simulator: spawn, 8 steps, exit. The exhaustive explorers replay runs
+// this short at every tree node, so the fixed per-process cost weighs
+// as much as the per-step one. The arena, scheduler, programs and
+// choice source are reused so that only the lifecycle itself is
+// measured: seeding a fresh source per run costs more than the run.
+func BenchmarkProcessLifecycle(b *testing.B) {
+	const stepsPerRun = 8
+	c := registers.CounterRef{Name: "C"}
+	cfg := sim.Config{
+		Objects: map[string]sim.Object{"C": registers.NewCounter()},
+		Programs: []sim.Program{func(ctx *sim.Ctx) sim.Value {
+			for i := 0; i < stepsPerRun-1; i++ {
+				c.Inc(ctx)
+			}
+			return c.Read(ctx)
+		}},
+		Scheduler:    sim.NewRoundRobin(),
+		Choice:       rand.New(rand.NewSource(1)),
+		DisableTrace: true,
+		Arena:        &sim.RunArena{},
+	}
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		res, err := sim.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Steps != stepsPerRun {
+			b.Fatal("step miscount")
+		}
+	}
+	b.ReportMetric(stepsPerRun, "steps/op")
 }
 
 // BenchmarkE13BGSimulation: one full BG simulation — n simulators jointly

@@ -2,6 +2,8 @@
 // into a machine-readable JSON report. Every value/unit pair of a result
 // line is kept: ns/op, B/op and allocs/op in their own fields, custom
 // b.ReportMetric units (steps/op, ...) in a per-benchmark metrics map.
+// A benchmark that reports steps/op also gets ns/step, the per-step cost
+// the explorers multiply by nodes × depth.
 // Benchmarks that carry a symmetry-reduced /red twin of a /seq
 // sub-benchmark are paired into a reductions section recording the
 // speedup and the allocation ratio of the reduced engine over the
@@ -37,7 +39,8 @@ type Benchmark struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds every other value/unit pair of the line, keyed by
-	// unit (e.g. "steps/op" from b.ReportMetric).
+	// unit (e.g. "steps/op" from b.ReportMetric), plus the derived
+	// "ns/step" (ns/op ÷ steps/op) when steps/op is present.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -168,6 +171,9 @@ func parseLine(line string) (Benchmark, bool) {
 			}
 			b.Metrics[unit] = v
 		}
+	}
+	if steps := b.Metrics["steps/op"]; steps > 0 {
+		b.Metrics["ns/step"] = math2(b.NsPerOp / steps)
 	}
 	return b, hasNs
 }

@@ -48,7 +48,8 @@ func TestParsePairsSpeedupsAndReductions(t *testing.T) {
 
 // TestParseKeepsCustomMetrics: a b.ReportMetric unit between ns/op and
 // B/op (the BenchmarkSimThroughput shape) must not cost the line its
-// B/op and allocs/op, and is itself kept in the metrics map.
+// B/op and allocs/op, and is itself kept in the metrics map. steps/op
+// also yields the derived ns/step.
 func TestParseKeepsCustomMetrics(t *testing.T) {
 	rep, err := parse(strings.NewReader(sampleBench))
 	if err != nil {
@@ -69,8 +70,11 @@ func TestParseKeepsCustomMetrics(t *testing.T) {
 	if got := sim.Metrics["steps/op"]; got != 54 {
 		t.Errorf("steps/op = %v, want 54 (metrics %v)", got, sim.Metrics)
 	}
-	if len(sim.Metrics) != 1 {
-		t.Errorf("metrics = %v, want only steps/op", sim.Metrics)
+	if got := sim.Metrics["ns/step"]; got != 46160.69 {
+		t.Errorf("ns/step = %v, want 46160.69 (2492677 ns/op / 54 steps/op)", got)
+	}
+	if len(sim.Metrics) != 2 {
+		t.Errorf("metrics = %v, want only steps/op and ns/step", sim.Metrics)
 	}
 }
 

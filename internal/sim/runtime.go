@@ -53,7 +53,9 @@ func (e *ObjectPanicError) Unwrap() error { return ErrObjectPanic }
 // Program is the sequential code of one process. It communicates only via
 // ctx and returns the process's output (its decision). Programs for
 // different processes must not share mutable memory; everything shared goes
-// through objects.
+// through objects. When a crash or the end of the run catches the process
+// parked, its pending Invoke panics to unwind it; a program may recover
+// that panic but must then return soon, since Run waits until it does.
 type Program func(ctx *Ctx) Value
 
 // Config describes one run: the shared objects, one program per process,
@@ -85,8 +87,8 @@ type Config struct {
 	// second execution — catching programs that are not pure functions
 	// of their invocation results. See verifyReplay in replay.go.
 	VerifyReplay bool
-	// Recovery, when non-nil, runs on a restarted process's fresh
-	// goroutine before its Program re-executes (see FaultRestart in
+	// Recovery, when non-nil, runs in a restarted process's fresh
+	// incarnation before its Program re-executes (see FaultRestart in
 	// fault.go). Incarnation 0 never runs it. It is shared by all
 	// processes and must obey the Program purity contract.
 	Recovery RecoveryProc
@@ -97,9 +99,9 @@ type Config struct {
 	// response histories without recording a full Trace. The callback
 	// must not call back into the run.
 	OnStep func(proc int, out Value, hang bool)
-	// Arena, when non-nil, recycles run scratch (process slots,
-	// channels, result buffers) across consecutive Runs; see RunArena
-	// for the aliasing rules.
+	// Arena, when non-nil, recycles run scratch (process slots, the
+	// enabled set, trace and result buffers) across consecutive Runs;
+	// see RunArena for the aliasing rules.
 	Arena *RunArena
 }
 
@@ -184,10 +186,11 @@ func (r *Result) AllDone() bool {
 
 type msgKind int
 
+// msgDone is the zero kind: a reset worker never reads as parked mid-run.
 const (
-	msgInvoke msgKind = iota
+	msgDone msgKind = iota
+	msgInvoke
 	msgMark
-	msgDone
 	msgPanic
 )
 
@@ -198,28 +201,19 @@ type message struct {
 	// mark fields, for msgMark
 	markKind EventKind
 	markOut  Value
-	// done / panic payload
+	// done / panic payload; an invocation's response comes back in out
 	out Value
 	err any
-}
-
-type resume struct {
-	value Value
-	abort bool
 }
 
 // abortSignal is panicked inside Ctx.Invoke to unwind an aborted process.
 type abortSignal struct{}
 
 type procState struct {
-	msgCh       chan message
-	resCh       chan resume
+	w           *worker // outside settle, non-nil iff parked at an invocation
 	status      ProcStatus
-	pending     bool
-	inv         message
 	output      Value
-	live        bool // goroutine still owns the channels
-	incarnation int  // number of crash-restarts applied so far
+	incarnation int // number of crash-restarts applied so far
 }
 
 // Run executes one complete run of the configuration and returns its
@@ -251,15 +245,12 @@ func Run(cfg Config) (*Result, error) {
 	if fi, ok := sched.(FaultInjector); ok {
 		rt.injector = fi
 	}
-	for i, prog := range cfg.Programs {
-		//detlint:allow nodeterminism lockstep handshake: each goroutine blocks on its private resCh until the scheduler resumes it, so exactly one runs at a time and interleaving is fully schedule-determined
-		go runProgram(i, prog, rt.procs[i])
-	}
-
+	// Every return path, panics included, unwinds the parked processes.
+	defer rt.abortAll()
 	// Settle every process to its first invocation (or completion).
-	for i := range rt.procs {
+	for i, prog := range cfg.Programs {
+		rt.procs[i].w = startWorker(i, 0, nil, prog)
 		if err := rt.settle(i); err != nil {
-			rt.abortAll()
 			return nil, err
 		}
 	}
@@ -275,7 +266,6 @@ func Run(cfg Config) (*Result, error) {
 			faults := rt.injector.Faults(View{Step: rt.steps, Enabled: enabled, Crashed: rt.crashedIDs()})
 			if len(faults) > 0 {
 				if err := rt.applyFaults(faults, maxSteps); err != nil {
-					rt.abortAll()
 					return nil, err
 				}
 				continue
@@ -285,7 +275,6 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 		if rt.steps >= maxSteps {
-			rt.abortAll()
 			return nil, fmt.Errorf("%w (budget %d)", ErrMaxSteps, maxSteps)
 		}
 		next := sched.Next(View{Step: rt.steps, Enabled: enabled})
@@ -293,15 +282,12 @@ func Run(cfg Config) (*Result, error) {
 			for _, id := range enabled {
 				rt.procs[id].status = StatusStopped
 			}
-			rt.abortAll()
 			return finish(cfg, rt.result(enabled))
 		}
 		if !contains(enabled, next) {
-			rt.abortAll()
 			return nil, fmt.Errorf("%w: process %d at step %d (enabled: %v)", ErrBadSchedule, next, rt.steps, enabled)
 		}
 		if err := rt.step(next); err != nil {
-			rt.abortAll()
 			return nil, err
 		}
 	}
@@ -329,10 +315,10 @@ func contains(xs []int, x int) bool {
 
 type runtime struct {
 	cfg      Config
-	rng      *rand.Rand // nil when cfg.Choice overrides it
+	rng      *rand.Rand    // nil when cfg.Choice overrides it
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
-	procs    []*procState
+	procs    []procState
 	arena    *RunArena // non-nil when run scratch is recycled
 	env      Env       // per-step Env, rebuilt in place (objects must not retain it)
 	steps    int
@@ -347,7 +333,7 @@ func (rt *runtime) enabled() []int {
 	if rt.arena == nil {
 		var ids []int
 		for i, p := range rt.procs {
-			if p.pending {
+			if p.w != nil {
 				ids = append(ids, i)
 			}
 		}
@@ -358,7 +344,7 @@ func (rt *runtime) enabled() []int {
 	// contract says the next Run invalidates.
 	ids := rt.arena.enabled[:0]
 	for i, p := range rt.procs {
-		if p.pending {
+		if p.w != nil {
 			ids = append(ids, i)
 		}
 	}
@@ -372,7 +358,7 @@ func (rt *runtime) enabled() []int {
 func (rt *runtime) crashedIDs() []int {
 	var ids []int
 	for i, p := range rt.procs {
-		if p.status == StatusCrashed && !p.live {
+		if p.status == StatusCrashed && p.w == nil {
 			ids = append(ids, i)
 		}
 	}
@@ -408,45 +394,42 @@ func (rt *runtime) applyFaults(faults []Fault, maxSteps int) error {
 }
 
 // crash wipes process id's volatile state: its pending invocation (recorded
-// in the EventCrash event, never applied), its goroutine with all program
+// in the EventCrash event, never applied), its incarnation with all program
 // locals, and its per-process volatile state in every Recoverable object.
 func (rt *runtime) crash(id int) error {
-	p := rt.procs[id]
-	if !p.pending || !p.live {
+	p := &rt.procs[id]
+	if p.w == nil {
 		return fmt.Errorf("%w: crash of process %d with no pending invocation (status %v)", ErrBadFault, id, p.status)
 	}
-	wiped := p.inv
-	p.pending = false
+	wiped := &p.w.msg
 	p.status = StatusCrashed
-	rt.abort(p)
-	rt.record(Event{
+	rt.record(&Event{
 		Kind:   EventCrash,
 		Proc:   id,
 		Object: wiped.obj,
 		Op:     wiped.inv.Op,
 		Args:   wiped.inv.Args,
 	})
+	rt.release(p)
 	for _, name := range rt.recoverables() {
 		rt.cfg.Objects[name].(Recoverable).OnCrash(id)
 	}
 	return nil
 }
 
-// restart brings a crashed process back amnesiacally: a fresh goroutine
+// restart brings a crashed process back amnesiacally: a fresh incarnation
 // runs Config.Recovery (if any) and then the program from the top, under an
 // incremented incarnation. The restart settles like initial startup, so the
 // process is parked at its first new invocation (or already done) before
 // the next scheduling round.
 func (rt *runtime) restart(id int) error {
-	p := rt.procs[id]
-	if p.status != StatusCrashed || p.live {
+	p := &rt.procs[id]
+	if p.status != StatusCrashed || p.w != nil {
 		return fmt.Errorf("%w: restart of process %d which is not crashed (status %v)", ErrBadFault, id, p.status)
 	}
 	p.incarnation++
-	p.live = true
-	rt.record(Event{Kind: EventRestart, Proc: id, Out: p.incarnation})
-	//detlint:allow nodeterminism lockstep handshake: the restarted goroutine blocks on its private resCh exactly like initial startup, so interleaving stays schedule-determined
-	go runIncarnation(id, p.incarnation, rt.cfg.Recovery, rt.cfg.Programs[id], p)
+	rt.record(&Event{Kind: EventRestart, Proc: id, Out: p.incarnation})
+	p.w = startWorker(id, p.incarnation, rt.cfg.Recovery, rt.cfg.Programs[id])
 	return rt.settle(id)
 }
 
@@ -468,10 +451,11 @@ func (rt *runtime) recoverables() []string {
 
 // step applies process id's pending invocation as one atomic step.
 func (rt *runtime) step(id int) error {
-	p := rt.procs[id]
-	obj, ok := rt.cfg.Objects[p.inv.obj]
+	p := &rt.procs[id]
+	m := &p.w.msg // the pending invocation
+	obj, ok := rt.cfg.Objects[m.obj]
 	if !ok {
-		return fmt.Errorf("%w: %q (process %d)", ErrUnknownObject, p.inv.obj, id)
+		return fmt.Errorf("%w: %q (process %d)", ErrUnknownObject, m.obj, id)
 	}
 	choice := rt.cfg.Choice
 	if choice == nil {
@@ -480,18 +464,17 @@ func (rt *runtime) step(id int) error {
 	// The Env is rebuilt in place instead of allocated per step; Apply
 	// must not retain it (see the Object contract).
 	rt.env = Env{Proc: id, Step: rt.steps, Rand: choice}
-	resp, err := applyObject(obj, &rt.env, p.inv)
+	resp, err := applyObject(obj, &rt.env, m)
 	if err != nil {
 		return err
 	}
 	rt.steps++
-	p.pending = false
-	rt.record(Event{
+	rt.record(&Event{
 		Kind:   EventStep,
 		Proc:   id,
-		Object: p.inv.obj,
-		Op:     p.inv.inv.Op,
-		Args:   p.inv.inv.Args,
+		Object: m.obj,
+		Op:     m.inv.Op,
+		Args:   m.inv.Args,
 		Out:    resp.Value,
 		Hang:   resp.Effect == Hang,
 	})
@@ -500,16 +483,16 @@ func (rt *runtime) step(id int) error {
 	}
 	if resp.Effect == Hang {
 		p.status = StatusHung
-		rt.abort(p)
+		rt.release(p)
 		return nil
 	}
-	p.resCh <- resume{value: resp.Value}
+	p.w.msg.out = resp.Value
 	return rt.settle(id)
 }
 
 // applyObject applies the invocation, converting an object panic into an
 // *ObjectPanicError.
-func applyObject(obj Object, env *Env, m message) (resp Response, err error) {
+func applyObject(obj Object, env *Env, m *message) (resp Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &ObjectPanicError{Object: m.obj, Op: m.inv.Op, Value: r}
@@ -519,19 +502,17 @@ func applyObject(obj Object, env *Env, m message) (resp Response, err error) {
 	return resp, nil
 }
 
-// settle reads messages from process id until it parks at an invocation,
-// finishes, or fails.
+// settle resumes process id until it parks at an invocation, finishes, or
+// fails.
 func (rt *runtime) settle(id int) error {
-	p := rt.procs[id]
+	p := &rt.procs[id]
 	for {
-		m := <-p.msgCh
+		m, _ := p.w.next()
 		switch m.kind {
 		case msgInvoke:
-			p.pending = true
-			p.inv = m
 			return nil
 		case msgMark:
-			rt.record(Event{
+			rt.record(&Event{
 				Kind:   m.markKind,
 				Proc:   id,
 				Object: m.obj,
@@ -542,44 +523,40 @@ func (rt *runtime) settle(id int) error {
 		case msgDone:
 			p.status = StatusDone
 			p.output = m.out
-			p.live = false
+			rt.release(p)
 			return nil
 		case msgPanic:
 			p.status = StatusFailed
-			p.live = false
-			return fmt.Errorf("%w: process %d: %v", ErrProgramPanic, id, m.err)
+			err := fmt.Errorf("%w: process %d: %v", ErrProgramPanic, id, m.err)
+			rt.release(p) // m is the worker's; read it first
+			return err
 		}
 	}
 }
 
-func (rt *runtime) record(e Event) {
+func (rt *runtime) record(e *Event) {
 	e.Seq = rt.seq
 	rt.seq++
 	if rt.obs != nil {
-		rt.obs.Observe(e)
+		rt.obs.Observe(*e)
 	}
 	if rt.cfg.DisableTrace {
 		return
 	}
-	rt.trace.Events = append(rt.trace.Events, e)
+	rt.trace.Events = append(rt.trace.Events, *e)
 }
 
-// abort terminates a live process goroutine that is blocked waiting for a
-// resume. The goroutine unwinds via abortSignal and exits silently.
-func (rt *runtime) abort(p *procState) {
-	if !p.live {
-		return
+// release detaches p's worker, unwinding an incarnation still parked.
+func (rt *runtime) release(p *procState) {
+	if p.w != nil {
+		p.w.release()
+		p.w = nil
 	}
-	p.live = false
-	p.resCh <- resume{abort: true}
 }
 
 func (rt *runtime) abortAll() {
-	for _, p := range rt.procs {
-		if p.live && p.pending {
-			p.pending = false
-			rt.abort(p)
-		}
+	for i := range rt.procs {
+		rt.release(&rt.procs[i])
 	}
 }
 
@@ -621,29 +598,4 @@ func (rt *runtime) result(enabledAtStop []int) *Result {
 		}
 	}
 	return res
-}
-
-// runProgram is the per-process goroutine body for incarnation 0.
-func runProgram(id int, prog Program, p *procState) {
-	runIncarnation(id, 0, nil, prog, p)
-}
-
-// runIncarnation is the goroutine body shared by initial startup and
-// crash-restart: incarnations >= 1 run the recovery step first, then the
-// program from the top.
-func runIncarnation(id, inc int, recovery RecoveryProc, prog Program, p *procState) {
-	ctx := &Ctx{id: id, inc: inc, msg: p.msgCh, res: p.resCh}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortSignal); ok {
-				return // aborted by the runtime; exit silently
-			}
-			p.msgCh <- message{kind: msgPanic, err: r}
-		}
-	}()
-	if inc > 0 && recovery != nil {
-		recovery(ctx)
-	}
-	out := prog(ctx)
-	p.msgCh <- message{kind: msgDone, out: out}
 }
