@@ -503,8 +503,6 @@ var DefaultChaosInjectorConfig = chaos.DefaultInjectorConfig
 // both substrates when an operation's budget — steps, attempts or a
 // context deadline — is spent. errors.Is(err, ErrExhausted) identifies
 // it across the facade.
-//
-//detlint:allow hangsemantics re-export of the documented hang-vs-error boundary sentinel
 var ErrExhausted = native.ErrExhausted
 
 // NewBounded wraps a simulator object so that hangs and over-budget

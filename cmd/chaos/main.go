@@ -263,7 +263,6 @@ func nativeSweep(w io.Writer, seed int64) error {
 				return fmt.Errorf("participant %d decided unproposed %v", p, decisions[p])
 			}
 			distinct[decisions[p]] = true
-		//detlint:allow hangsemantics the Bounded facade's documented degradation outcome is the one acceptable error here
 		case errors.Is(err, native.ErrExhausted):
 			// Graceful degradation: acceptable under injected aborts.
 		default:

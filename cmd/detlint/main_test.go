@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // TestRuleListShape pins the -list-rules contract: one line per
-// registered rule, in registry order, name first and one-line doc
-// after. The order is the byte-stable surface the README table check
-// below builds on.
+// registered rule of the six-rule suite, in registry order, name first
+// and one-line doc after. The order is the byte-stable surface the
+// README table check below builds on.
 func TestRuleListShape(t *testing.T) {
 	out := ruleList()
 	if out != ruleList() {
@@ -20,6 +21,14 @@ func TestRuleListShape(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	analyzers := lint.Analyzers()
+	var names []string
+	for _, a := range analyzers {
+		names = append(names, a.Name)
+	}
+	want := []string{"nodeterminism", "facadeparity", "persistsplit", "journaldiscipline", "restartcoverage", "allowaudit"}
+	if !slices.Equal(names, want) {
+		t.Errorf("registry = %v, want %v", names, want)
+	}
 	if len(lines) != len(analyzers) {
 		t.Fatalf("ruleList has %d lines, registry has %d rules", len(lines), len(analyzers))
 	}

@@ -18,8 +18,6 @@ import (
 
 // ErrExhausted is the typed exhaustion error shared by both substrates;
 // it is native.ErrExhausted, so errors.Is works across the facade.
-//
-//detlint:allow hangsemantics re-export of the documented hang-vs-error boundary sentinel for the simulator substrate
 var ErrExhausted = native.ErrExhausted
 
 // Bounded wraps a sim.Object with a per-process step budget and
@@ -45,13 +43,11 @@ func (b *Bounded) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
 	if b.budget > 0 {
 		b.used[env.Proc]++
 		if b.used[env.Proc] > b.budget {
-			//detlint:allow hangsemantics Bounded IS the documented graceful-degradation boundary: it deliberately converts over-budget hangs into the typed exhaustion error (DESIGN.md)
 			return sim.Respond(ErrExhausted)
 		}
 	}
 	resp := b.inner.Apply(env, inv)
 	if resp.Effect == sim.Hang {
-		//detlint:allow hangsemantics Bounded IS the documented graceful-degradation boundary: it deliberately converts the inner object's hang into the typed exhaustion error (DESIGN.md)
 		return sim.Respond(ErrExhausted)
 	}
 	return resp
@@ -61,6 +57,5 @@ func (b *Bounded) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
 // is the typed exhaustion error.
 func Exhausted(v sim.Value) bool {
 	err, ok := v.(error)
-	//detlint:allow hangsemantics checking for the boundary sentinel is part of the documented degradation contract
 	return ok && err == ErrExhausted
 }

@@ -15,6 +15,7 @@ package lint
 // through named functions and interfaces only).
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"sort"
@@ -31,18 +32,12 @@ type FuncNode struct {
 	// Callees are the module functions this function may call, in
 	// deterministic (position) order, deduplicated.
 	Callees []*FuncNode
-	// SharedAccess reports that the function — directly or through any
-	// callee — performs a recognized shared-memory access: a sync/atomic
-	// method, a sync.Mutex/RWMutex lock, or a simulator object step
-	// (sim.Ctx.Invoke and the register/snapshot wrappers above it).
-	SharedAccess bool
 
 	calleeSet map[*types.Func]bool
 }
 
 // CallGraph is the module's conservative callgraph.
 type CallGraph struct {
-	m *Module
 	// Nodes maps every declared module function to its node.
 	Nodes map[*types.Func]*FuncNode
 	// namedTypes lists every non-interface named type declared in the
@@ -62,10 +57,7 @@ func (m *Module) CallGraph() *CallGraph {
 }
 
 func buildCallGraph(m *Module) *CallGraph {
-	g := &CallGraph{
-		m:     m,
-		Nodes: make(map[*types.Func]*FuncNode),
-	}
+	g := &CallGraph{Nodes: make(map[*types.Func]*FuncNode)}
 	// Pass 1: one node per declared function with a body, plus the
 	// module's named types for interface fan-out.
 	for _, pkg := range m.Pkgs {
@@ -120,7 +112,6 @@ func buildCallGraph(m *Module) *CallGraph {
 			return n.Callees[i].Fn.Pos() < n.Callees[j].Fn.Pos()
 		})
 	}
-	g.computeSharedAccess(nodes)
 	return g
 }
 
@@ -206,85 +197,33 @@ func (g *CallGraph) Reachable(roots []*FuncNode, skip func(*Package) bool) map[*
 	return seen
 }
 
-// ReachableWitness is Reachable plus attribution: each reached node maps
-// to the root it was first discovered from (roots map to themselves).
-// The BFS visits roots and callees in deterministic order, so the
-// witness assignment — and every diagnostic built from it — is stable
-// across runs.
-func (g *CallGraph) ReachableWitness(roots []*FuncNode, skip func(*Package) bool) map[*FuncNode]*FuncNode {
-	witness := make(map[*FuncNode]*FuncNode)
-	queue := make([]*FuncNode, 0, len(roots))
-	for _, r := range roots {
-		if _, ok := witness[r]; !ok {
-			witness[r] = r
-			queue = append(queue, r)
-		}
+// funcLabel renders a node as pkgname.Func or pkgname.(Recv).Method.
+func funcLabel(n *FuncNode) string {
+	name := n.Pkg.Types.Name()
+	if n.Decl.Recv != nil {
+		return fmt.Sprintf("%s.(%s).%s", name, receiverTypeName(n.Decl), n.Decl.Name.Name)
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Callees {
-			if _, ok := witness[c]; ok || (skip != nil && skip(c.Pkg)) {
-				continue
-			}
-			witness[c] = witness[n]
-			queue = append(queue, c)
-		}
-	}
-	return witness
+	return name + "." + n.Decl.Name.Name
 }
 
-// computeSharedAccess runs the shared-access dataflow to a fixed point:
-// a function has the property if its body performs a primitive shared
-// access or any callee has it.
-func (g *CallGraph) computeSharedAccess(nodes []*FuncNode) {
-	for _, n := range nodes {
-		n.SharedAccess = bodyHasSharedPrimitive(g.m, n.Pkg, n.Decl.Body)
+// receiverTypeName extracts the base type name of a method receiver.
+func receiverTypeName(fd *ast.FuncDecl) string {
+	if len(fd.Recv.List) == 0 {
+		return ""
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			if n.SharedAccess {
-				continue
-			}
-			for _, c := range n.Callees {
-				if c.SharedAccess {
-					n.SharedAccess = true
-					changed = true
-					break
-				}
-			}
+	t := fd.Recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.ParenExpr:
+			t = x.X
+		case *ast.IndexExpr: // generic receiver
+			t = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
-}
-
-// bodyHasSharedPrimitive reports a direct recognized shared-memory
-// access in the AST subtree: a sync/atomic method call, a
-// sync.Mutex/RWMutex Lock/RLock, or a simulator step (sim.Ctx.Invoke).
-func bodyHasSharedPrimitive(m *Module, pkg *Package, root ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := resolvedFunc(pkg, call)
-		if fn == nil {
-			return true
-		}
-		switch {
-		case isMethod(fn, "sync/atomic",
-			"Load", "Store", "Add", "Swap", "CompareAndSwap", "Or", "And"):
-			found = true
-		case isMethod(fn, "sync", "Lock", "RLock", "TryLock", "TryRLock"):
-			found = true
-		case isMethod(fn, m.Path+"/internal/sim", "Invoke"):
-			found = true
-		}
-		return !found
-	})
-	return found
 }

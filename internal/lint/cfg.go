@@ -2,12 +2,11 @@ package lint
 
 // cfg.go builds a lightweight per-function control-flow graph. The
 // analyzers need far less than a compiler does — no SSA, no dominance —
-// but strictly more than syntax: which statements form loops, whether a
-// loop's body can leave the function (return) or the loop (break), and
-// a linear block order that preserves execution positions. Blocks hold
-// statements in source order; edges cover if/for/range/switch/select,
-// break/continue (labeled and not), and returns. goto is treated as a
-// terminator (the repository bans it stylistically; the CFG stays
+// but strictly more than syntax: join points for the SSA-lite builder
+// and a linear block order that preserves execution positions. Blocks
+// hold statements in source order; edges cover if/for/range/switch/
+// select, break/continue (labeled and not), and returns. goto is treated
+// as a terminator (the repository bans it stylistically; the CFG stays
 // conservative if one appears).
 
 import (
@@ -24,9 +23,6 @@ type CFG struct {
 	Entry *Block
 	// Blocks lists every block in creation (roughly source) order.
 	Blocks []*Block
-	// AllLoops lists every for/range statement in the body, outermost
-	// first, with exit information attached.
-	AllLoops []*Loop
 }
 
 // Block is a straight-line sequence of statements with successor edges.
@@ -41,25 +37,12 @@ type Block struct {
 	Succs []*Block
 	// Preds are the blocks this one can be entered from, in edge-creation
 	// order. A block with two or more predecessors is a join point: the
-	// SSA-lite builder (ssa.go) places φ-nodes there, and the lockset
-	// analysis (lockset.go) intersects the incoming must-hold sets.
+	// SSA-lite builder (ssa.go) places φ-nodes there.
 	Preds []*Block
 }
 
-// Loop describes one for or range statement.
-type Loop struct {
-	// Stmt is the *ast.ForStmt or *ast.RangeStmt.
-	Stmt ast.Stmt
-	// HasBreak reports a break statement targeting this loop.
-	HasBreak bool
-	// HasReturn reports a return statement anywhere inside the body
-	// (including nested loops, excluding nested function literals).
-	HasReturn bool
-}
-
 // BuildCFG constructs the graph for a function body. Nested function
-// literals are opaque: their statements belong to their own CFG (use
-// FuncBodies to enumerate them).
+// literals are opaque: their statements belong to their own CFG.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	g := &CFG{Body: body}
 	b := &cfgBuilder{g: g, labels: make(map[string]*frame)}
@@ -69,27 +52,8 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return g
 }
 
-// FuncBodies returns the body of fn together with the bodies of every
-// function literal nested inside it, outermost first. Each body gets
-// its own CFG; a literal's loops are analyzed in the context of the
-// enclosing declaration.
-func FuncBodies(fn *ast.FuncDecl) []*ast.BlockStmt {
-	if fn.Body == nil {
-		return nil
-	}
-	out := []*ast.BlockStmt{fn.Body}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			out = append(out, lit.Body)
-		}
-		return true
-	})
-	return out
-}
-
 // frame tracks one enclosing breakable/continuable construct.
 type frame struct {
-	loop *Loop // nil for switch/select frames
 	// brk is where break jumps; cont where continue jumps (nil for
 	// switch/select frames).
 	brk, cont *Block
@@ -162,8 +126,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 		b.cur = join
 	case *ast.ForStmt:
-		loop := &Loop{Stmt: s}
-		b.g.AllLoops = append(b.g.AllLoops, loop)
 		if s.Init != nil {
 			b.cur.Stmts = append(b.cur.Stmts, s.Init)
 		}
@@ -176,7 +138,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		if s.Cond != nil {
 			link(head, exit)
 		}
-		b.pushLoop(loop, exit, head, s)
+		b.pushLoop(exit, head)
 		b.cur = body
 		b.stmt(s.Body)
 		if s.Post != nil {
@@ -186,8 +148,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.popFrame()
 		b.cur = exit
 	case *ast.RangeStmt:
-		loop := &Loop{Stmt: s}
-		b.g.AllLoops = append(b.g.AllLoops, loop)
 		head := b.newBlock()
 		link(b.cur, head)
 		head.Stmts = append(head.Stmts, s)
@@ -195,7 +155,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		exit := b.newBlock()
 		link(head, body)
 		link(head, exit) // a range always terminates when the source drains
-		b.pushLoop(loop, exit, head, s)
+		b.pushLoop(exit, head)
 		b.cur = body
 		b.stmt(s.Body)
 		link(b.cur, head)
@@ -259,9 +219,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		switch s.Tok {
 		case token.BREAK:
 			if f := b.branchTarget(s, false); f != nil {
-				if f.loop != nil {
-					f.loop.HasBreak = true
-				}
 				link(b.cur, f.brk)
 			}
 			b.terminate()
@@ -278,23 +235,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		}
 	case *ast.ReturnStmt:
 		b.cur.Stmts = append(b.cur.Stmts, s)
-		for _, f := range b.frames {
-			if f.loop != nil {
-				f.loop.HasReturn = true
-			}
-		}
 		b.terminate()
 	default:
 		// Plain statements: decl, assign, expr, send, inc/dec, defer, go,
 		// empty. A go/defer'd function literal's own body is a separate
-		// CFG (FuncBodies); here it is a single opaque statement.
+		// CFG; here it is a single opaque statement.
 		b.cur.Stmts = append(b.cur.Stmts, s)
 	}
 }
 
 // pushLoop registers a loop frame and binds a pending label to it.
-func (b *cfgBuilder) pushLoop(l *Loop, brk, cont *Block, stmt ast.Stmt) {
-	f := &frame{loop: l, brk: brk, cont: cont}
+func (b *cfgBuilder) pushLoop(brk, cont *Block) {
+	f := &frame{brk: brk, cont: cont}
 	b.frames = append(b.frames, f)
 	if b.pendingLabel != "" {
 		b.labels[b.pendingLabel] = f
@@ -368,7 +320,7 @@ func (b *cfgBuilder) branchTarget(s *ast.BranchStmt, needLoop bool) *frame {
 	}
 	for i := len(b.frames) - 1; i >= 0; i-- {
 		f := b.frames[i]
-		if needLoop && f.loop == nil {
+		if needLoop && f.cont == nil {
 			continue
 		}
 		return f

@@ -24,101 +24,9 @@ func parseFunc(t *testing.T, src string) *ast.FuncDecl {
 	return nil
 }
 
-func TestCFGLoopExits(t *testing.T) {
-	cases := []struct {
-		name                string
-		src                 string
-		loops               int
-		hasBreak, hasReturn []bool
-	}{
-		{
-			name: "plain break and return",
-			src: `package p
-func f(n int) int {
-	for {
-		if n > 0 {
-			break
-		}
-	}
-	for {
-		if n < 0 {
-			return n
-		}
-	}
-	return 0
-}`,
-			loops:     2,
-			hasBreak:  []bool{true, false},
-			hasReturn: []bool{false, true},
-		},
-		{
-			name: "break inside switch stays with the switch",
-			src: `package p
-func f(n int) {
-	for i := 0; ; i++ {
-		switch n {
-		case 1:
-			break
-		}
-	}
-}`,
-			loops:     1,
-			hasBreak:  []bool{false},
-			hasReturn: []bool{false},
-		},
-		{
-			name: "labeled break reaches the outer loop",
-			src: `package p
-func f(n int) {
-outer:
-	for {
-		for {
-			break outer
-		}
-	}
-}`,
-			loops:     2,
-			hasBreak:  []bool{true, false},
-			hasReturn: []bool{false, false},
-		},
-		{
-			name: "return in a nested loop marks every enclosing loop",
-			src: `package p
-func f(xs []int) int {
-	for _, x := range xs {
-		for {
-			return x
-		}
-	}
-	return 0
-}`,
-			loops:     2,
-			hasBreak:  []bool{false, false},
-			hasReturn: []bool{true, true},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fd := parseFunc(t, tc.src)
-			cfg := BuildCFG(fd.Body)
-			if len(cfg.AllLoops) != tc.loops {
-				t.Fatalf("loops = %d, want %d", len(cfg.AllLoops), tc.loops)
-			}
-			for i, l := range cfg.AllLoops {
-				if l.HasBreak != tc.hasBreak[i] {
-					t.Errorf("loop %d HasBreak = %v, want %v", i, l.HasBreak, tc.hasBreak[i])
-				}
-				if l.HasReturn != tc.hasReturn[i] {
-					t.Errorf("loop %d HasReturn = %v, want %v", i, l.HasReturn, tc.hasReturn[i])
-				}
-			}
-		})
-	}
-}
-
 // TestCFGFuncLitOpaque pins the function-literal boundary: a return
-// inside a closure belongs to the closure's own CFG, and FuncBodies
-// enumerates the declaration body plus each nested literal.
+// inside a closure belongs to the closure's own CFG, never to the CFG of
+// the enclosing declaration.
 func TestCFGFuncLitOpaque(t *testing.T) {
 	fd := parseFunc(t, `package p
 func f(xs []int) func() int {
@@ -132,20 +40,34 @@ func f(xs []int) func() int {
 	}
 	return g
 }`)
-	bodies := FuncBodies(fd)
-	if len(bodies) != 2 {
-		t.Fatalf("FuncBodies = %d bodies, want 2 (decl + literal)", len(bodies))
+	var lit *ast.FuncLit
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if l, ok := n.(*ast.FuncLit); ok {
+			lit = l
+		}
+		return lit == nil
+	})
+	if lit == nil {
+		t.Fatal("no function literal in source")
 	}
-	outer := BuildCFG(bodies[0])
-	if len(outer.AllLoops) != 1 {
-		t.Fatalf("outer loops = %d, want 1 (literal body is opaque)", len(outer.AllLoops))
+	returns := func(g *CFG) []*ast.ReturnStmt {
+		var out []*ast.ReturnStmt
+		for _, b := range g.Blocks {
+			for _, s := range b.Stmts {
+				if r, ok := s.(*ast.ReturnStmt); ok {
+					out = append(out, r)
+				}
+			}
+		}
+		return out
 	}
-	if outer.AllLoops[0].HasReturn {
-		t.Error("closure's return leaked into the enclosing range loop")
+	outer := returns(BuildCFG(fd.Body))
+	if len(outer) != 1 || len(outer[0].Results) != 1 || outer[0].Results[0].(*ast.Ident).Name != "g" {
+		t.Errorf("outer CFG returns = %d, want only `return g` (the closure's return leaked)", len(outer))
 	}
-	inner := BuildCFG(bodies[1])
-	if len(inner.AllLoops) != 1 || !inner.AllLoops[0].HasReturn {
-		t.Errorf("inner CFG loops = %+v, want one loop with HasReturn", inner.AllLoops)
+	inner := returns(BuildCFG(lit.Body))
+	if len(inner) != 1 || inner[0].Results[0].(*ast.Ident).Name != "x" {
+		t.Errorf("closure CFG returns = %d, want only `return x`", len(inner))
 	}
 }
 

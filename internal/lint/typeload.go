@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -137,24 +136,6 @@ func isFunc(fn *types.Func, path string, names ...string) bool {
 	return false
 }
 
-// isMethod reports whether fn is a method named one of names declared on
-// a type of the package with the given path (the receiver's base type
-// must come from that package).
-func isMethod(fn *types.Func, path string, names ...string) bool {
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != path {
-		return false
-	}
-	if fn.Type().(*types.Signature).Recv() == nil {
-		return false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return true
-		}
-	}
-	return false
-}
-
 // resolvedFunc resolves the function a call's Fun expression names,
 // whether spelled as an identifier, a qualified name, or a method
 // selection. Dynamic calls (function values, closures, builtins,
@@ -219,20 +200,33 @@ func namedBase(t types.Type) *types.Named {
 	}
 }
 
-// typeFromPkg reports whether t (possibly behind pointers/slices/arrays)
-// is a named type declared in the package with the given import path.
-func typeFromPkg(t types.Type, path string) bool {
-	switch u := t.(type) {
-	case *types.Slice:
-		return typeFromPkg(u.Elem(), path)
-	case *types.Array:
-		return typeFromPkg(u.Elem(), path)
+// fieldTarget resolves an assignment target to the struct field it
+// writes, unwrapping index/star/paren chains, or nil.
+func fieldTarget(pkg *Package, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return selectedField(pkg, x)
+		default:
+			return nil
+		}
 	}
-	n := namedBase(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
+}
+
+// selectedField returns the field object a selector denotes, or nil.
+func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
+		}
 	}
-	return n.Obj().Pkg().Path() == path
+	return nil
 }
 
 // lookupConcreteMethod finds the concrete method named name on t (or
@@ -244,6 +238,3 @@ func lookupConcreteMethod(t types.Type, name string) *types.Func {
 	}
 	return nil
 }
-
-// position is a small convenience: the token.Position of a node.
-func (m *Module) position(n ast.Node) token.Position { return m.Fset.Position(n.Pos()) }

@@ -89,7 +89,9 @@ func (p Protocol) GetName(ctx *sim.Ctx, id int) int {
 // nthFree returns the r-th smallest positive integer absent from taken.
 func nthFree(taken map[int]bool, r int) int {
 	n := 0
-	//detlint:allow boundedloop terminates within len(taken)+r iterations: taken holds finitely many keys, so at most len(taken) candidates are skipped before r free ones appear
+	// Terminates within len(taken)+r iterations: taken holds finitely many
+	// keys, so at most len(taken) candidates are skipped before r free
+	// ones appear.
 	for candidate := 1; ; candidate++ {
 		if !taken[candidate] {
 			n++

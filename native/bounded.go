@@ -23,8 +23,7 @@ import (
 // capacity. It is the native face of the model's hang-on-exhaustion:
 // where the simulator parks the caller forever, the Bounded wrappers
 // return this error instead. This sentinel IS the documented
-// hang-vs-error boundary (see DESIGN.md); the hangsemantics rule exempts
-// package native for exactly this reason, so no allow is needed here.
+// hang-vs-error boundary (see DESIGN.md).
 var ErrExhausted = errors.New("native: operation budget exhausted")
 
 // Budget bounds one native operation.
@@ -53,7 +52,6 @@ func retryable(err error) bool { return errors.Is(err, ErrAborted) }
 // exhaustion reports whether err means the object itself has no
 // capacity left (a bounded-use condition retries cannot cure).
 func exhaustion(err error) bool {
-	//detlint:allow hangsemantics classification at the graceful-degradation boundary: the documented ErrIndexUsed deviation is folded into the typed exhaustion error here
 	return errors.Is(err, ErrIndexUsed)
 }
 
@@ -76,7 +74,6 @@ func BoundedDo(ctx context.Context, b Budget, op func() (any, error)) (any, erro
 	var last error
 	for attempt := 0; attempt < b.tries(); attempt++ {
 		if err := ctx.Err(); err != nil {
-			//detlint:allow hangsemantics graceful-degradation boundary: deadline expiry surfaces as the typed exhaustion error instead of the model's hang
 			return nil, fmt.Errorf("%w: %v", ErrExhausted, err)
 		}
 		ch := make(chan outcome, 1)
@@ -90,7 +87,6 @@ func BoundedDo(ctx context.Context, b Budget, op func() (any, error)) (any, erro
 			case out.err == nil:
 				return out.v, nil
 			case exhaustion(out.err):
-				//detlint:allow hangsemantics graceful-degradation boundary: the one-shot object's exhaustion maps to the typed error instead of the model's hang
 				return nil, fmt.Errorf("%w: %v", ErrExhausted, out.err)
 			case retryable(out.err):
 				last = out.err
@@ -98,7 +94,6 @@ func BoundedDo(ctx context.Context, b Budget, op func() (any, error)) (any, erro
 				return nil, out.err
 			}
 		case <-ctx.Done():
-			//detlint:allow hangsemantics graceful-degradation boundary: deadline expiry surfaces as the typed exhaustion error instead of the model's hang
 			return nil, fmt.Errorf("%w: %v", ErrExhausted, ctx.Err())
 		}
 		for i := 0; i < backoff; i++ {
@@ -106,7 +101,6 @@ func BoundedDo(ctx context.Context, b Budget, op func() (any, error)) (any, erro
 		}
 		backoff *= 2
 	}
-	//detlint:allow hangsemantics graceful-degradation boundary: a spent retry budget surfaces as the typed exhaustion error instead of the model's hang
 	return nil, fmt.Errorf("%w: %d attempt(s) failed, last: %v", ErrExhausted, b.tries(), last)
 }
 

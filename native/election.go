@@ -94,7 +94,9 @@ func rename(snap *snapshot, inj Injector, id int) (int, error) {
 
 func nthFree(taken map[int]bool, r int) int {
 	n := 0
-	//detlint:allow boundedloop terminates within len(taken)+r iterations: taken holds finitely many keys, so at most len(taken) candidates are skipped before r free ones appear
+	// Terminates within len(taken)+r iterations: taken holds finitely many
+	// keys, so at most len(taken) candidates are skipped before r free
+	// ones appear.
 	for candidate := 1; ; candidate++ {
 		if !taken[candidate] {
 			n++
@@ -137,7 +139,8 @@ func (r *relaxedWRN) rlx(inj Injector, id, i int, v any) (any, error) {
 // most K−1 coordinators).
 type Election struct {
 	k, m int
-	//detlint:allow sharedstate installed via SetInjector before Propose races (documented contract); reads see nil or the fully built injector
+	// Installed via SetInjector before Propose races (documented
+	// contract); reads see nil or the fully built injector.
 	inj       Injector
 	snap      *snapshot
 	family    [][]int // covering family: one mapping per K-subset of {0..2K−2}
@@ -189,7 +192,9 @@ func (e *Election) Propose(id int, v any) (any, error) {
 		return nil, ErrBadValue
 	}
 	if e.proposed[id].Swap(true) {
-		//detlint:allow hangsemantics documented deviation (see package doc): outside the simulator a hang is just a deadlock, so re-proposal surfaces as ErrIndexUsed
+		// Documented deviation (see package doc): outside the simulator a
+		// hang is just a deadlock, so re-proposal surfaces as
+		// ErrIndexUsed.
 		return nil, fmt.Errorf("%w: identity %d already proposed", ErrIndexUsed, id)
 	}
 	// An abort here crashes the participant after its identity is burned

@@ -223,3 +223,16 @@ func BenchmarkNativeElectionRound(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// TestNthFree is the same case table as internal/renaming's TestNthFree:
+// nthFree takes no shared-memory steps, so its termination and result
+// are covered here rather than by the root package's wait-free bounds.
+func TestNthFree(t *testing.T) {
+	taken := map[int]bool{1: true, 3: true}
+	cases := []struct{ r, want int }{{1, 2}, {2, 4}, {3, 5}}
+	for _, c := range cases {
+		if got := nthFree(taken, c.r); got != c.want {
+			t.Errorf("nthFree(%d) = %d, want %d", c.r, got, c.want)
+		}
+	}
+}

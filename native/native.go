@@ -50,7 +50,8 @@ var (
 // previous content of cell (i+1) mod k.
 type WRN struct {
 	mu sync.Mutex
-	//detlint:allow sharedstate installed via SetInjector before the object is shared (documented contract); hot-path reads see nil or the fully built injector
+	// Installed via SetInjector before the object is shared (documented
+	// contract); hot-path reads see nil or the fully built injector.
 	inj   Injector
 	cells []any
 }
@@ -100,7 +101,8 @@ func (w *WRN) WRN(i int, v any) (any, error) {
 // once; reuse returns ErrIndexUsed.
 type OneShotWRN struct {
 	mu sync.Mutex
-	//detlint:allow sharedstate installed via SetInjector before the object is shared (documented contract); hot-path reads see nil or the fully built injector
+	// Installed via SetInjector before the object is shared (documented
+	// contract); hot-path reads see nil or the fully built injector.
 	inj   Injector
 	cells []any
 	used  []bool
@@ -139,7 +141,9 @@ func (w *OneShotWRN) WRN(i int, v any) (any, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.used[i] {
-		//detlint:allow hangsemantics documented deviation (see package doc): a real goroutine cannot be parked undetectably, so reuse surfaces as ErrIndexUsed instead of the model's hang
+		// Documented deviation (see package doc): a real goroutine cannot
+		// be parked undetectably, so reuse surfaces as ErrIndexUsed
+		// instead of the model's hang.
 		return nil, fmt.Errorf("%w: index %d", ErrIndexUsed, i)
 	}
 	if err := chaosPoint(w.inj, "oneshot.locked", i); err != nil {
@@ -155,7 +159,8 @@ func (w *OneShotWRN) WRN(i int, v any) (any, error) {
 // WRN_k objects. Each id may propose at most once.
 type SetConsensus struct {
 	n, k int
-	//detlint:allow sharedstate installed via SetInjector before Propose races (documented contract); reads see nil or the fully built injector
+	// Installed via SetInjector before Propose races (documented
+	// contract); reads see nil or the fully built injector.
 	inj       Injector
 	instances []*OneShotWRN
 }
