@@ -18,11 +18,8 @@
 // comment on the same or the preceding line; the justification is
 // mandatory, and the allowaudit rule reports any justified allow that
 // no longer suppresses a finding. See README.md "Static analysis" for
-// the rule catalogue; -list-rules prints it.
-//
-// -rules=<comma-list> runs a subset of the suite (allowaudit only
-// judges allows whose rules all ran, so a partial run cannot declare an
-// annotation stale).
+// the rule catalogue; -list-rules prints it. Every run executes the
+// full suite.
 //
 // The par.ForEach determinism contract is not a detlint rule either:
 // the worker-count cross-checks compare every parallel sweep against
@@ -33,15 +30,14 @@
 // rule: the AllocGate tests in internal/modelcheck and internal/sim
 // measure it exactly with testing.AllocsPerRun.
 //
-// Runs are incremental: the result of a clean run is cached in
-// .detlint.cache at the module root, keyed by a content hash of every
-// .go file (tests included), go.mod, EXPERIMENTS.md, the rule set, and
-// the detlint version. An unchanged tree replays the cached report
-// ("detlint: cache hit" on stderr) without re-type-checking; -no-cache
-// forces a fresh run. -json prints the report as JSON; -sarif writes a
-// SARIF 2.1.0 log for code-scanning upload. Both formats are byte-stable
-// across runs on an unchanged tree, and every finding carries a stable
-// ID independent of line numbers.
+// The durable/volatile split of sim.Recoverable objects is not a
+// detlint rule: TestCrashContract in internal/recoverable crashes each
+// implementor and pins the state that survives.
+//
+// -json prints the report as JSON; -sarif writes a SARIF 2.1.0 log for
+// code-scanning upload. Both formats are byte-stable across runs on an
+// unchanged tree, and every finding carries a stable ID independent of
+// line numbers.
 package main
 
 import (
@@ -49,23 +45,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"detobj/internal/lint"
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	rootFlag := flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
-	list := flag.Bool("list", false, "alias for -list-rules")
 	listRules := flag.Bool("list-rules", false, "print the available rules (name and one-line doc, byte-stable order) and exit")
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
-	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
 	flag.Parse()
 
-	if *list || *listRules {
+	if *listRules {
 		os.Stdout.WriteString(ruleList())
 		return
 	}
@@ -80,54 +72,11 @@ func main() {
 	}
 
 	analyzers := lint.Analyzers()
-	if *rules != "" {
-		want := make(map[string]bool)
-		for _, r := range strings.Split(*rules, ",") {
-			want[strings.TrimSpace(r)] = true
-		}
-		var selected []*lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				selected = append(selected, a)
-				delete(want, a.Name)
-			}
-		}
-		unknown := make([]string, 0, len(want))
-		for r := range want {
-			unknown = append(unknown, r)
-		}
-		sort.Strings(unknown)
-		if len(unknown) > 0 {
-			fatal(fmt.Errorf("detlint: unknown rule(s) %s", strings.Join(unknown, ", ")))
-		}
-		analyzers = selected
+	mod, err := lint.Load(root)
+	if err != nil {
+		fatal(err)
 	}
-
-	var key string
-	var report *lint.Report
-	if !*noCache {
-		var err error
-		key, err = lint.CacheKey(root, analyzers)
-		if err != nil {
-			fatal(err)
-		}
-		if c := lint.LoadCache(root); c != nil && c.Key == key {
-			report = c.Report
-			fmt.Fprintln(os.Stderr, "detlint: cache hit")
-		}
-	}
-	if report == nil {
-		mod, err := lint.Load(root)
-		if err != nil {
-			fatal(err)
-		}
-		report = lint.NewReport(root, lint.Run(mod, analyzers))
-		if !*noCache {
-			if err := lint.SaveCache(root, &lint.CachedRun{Key: key, Report: report}); err != nil {
-				fmt.Fprintf(os.Stderr, "detlint: cache not written: %v\n", err)
-			}
-		}
-	}
+	report := lint.NewReport(root, lint.Run(mod, analyzers))
 
 	if *sarifOut != "" {
 		b, err := report.SARIF(analyzers)

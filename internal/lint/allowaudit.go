@@ -10,10 +10,7 @@ package lint
 //
 // The rule is a driver special case, not an ordinary pass: staleness is
 // only known after every other analyzer has run and marked the allows
-// it consumed, so Run() in lint.go executes it last. It also refuses to
-// judge an allow whose named rules were not all selected this run (and
-// judges `all` only under the full suite) — a partial -rules run proves
-// nothing about what the skipped rules would have suppressed.
+// it consumed, so Run() in lint.go executes it last.
 
 import (
 	"fmt"
@@ -34,16 +31,8 @@ func AnalyzerAllowAudit() *Analyzer {
 	}
 }
 
-// staleAllows reports every justified allow mark that went unused, when
-// the selected rule set is broad enough to judge it.
-func (m *Module) staleAllows(selected map[string]bool) []Diagnostic {
-	fullSuite := true
-	for _, a := range Analyzers() {
-		if !selected[a.Name] {
-			fullSuite = false
-			break
-		}
-	}
+// staleAllows reports every justified allow mark that went unused.
+func (m *Module) staleAllows() []Diagnostic {
 	var out []Diagnostic
 	files := make([]string, 0, len(m.allows))
 	for f := range m.allows {
@@ -56,34 +45,12 @@ func (m *Module) staleAllows(selected map[string]bool) []Diagnostic {
 			if !a.justified || len(a.rules) == 0 || a.used {
 				continue
 			}
-			if !judgeable(a, selected, fullSuite) {
-				continue
-			}
 			out = append(out, Diagnostic{Pos: a.pos, Rule: allowAuditName,
 				Msg: fmt.Sprintf("stale detlint:allow (%s): the annotation suppressed no finding this run; remove it or re-justify it",
 					ruleList(a))})
 		}
 	}
 	return out
-}
-
-// judgeable reports whether this run exercised every rule the mark
-// names. A name matching no analyzer of the full suite can never
-// suppress and is always judgeable.
-func judgeable(a *allowMark, selected map[string]bool, fullSuite bool) bool {
-	if a.rules["all"] {
-		return fullSuite
-	}
-	known := make(map[string]bool)
-	for _, an := range Analyzers() {
-		known[an.Name] = true
-	}
-	for _, r := range strings.Split(ruleList(a), ",") {
-		if known[r] && !selected[r] {
-			return false
-		}
-	}
-	return true
 }
 
 func ruleList(a *allowMark) string {

@@ -14,27 +14,15 @@
 //   - facadeparity: every exported constructor of a module referenced by
 //     EXPERIMENTS.md's module index is reachable through the api.go
 //     facade.
-//   - persistsplit: every field of a sim.Recoverable implementor is
-//     declared //detlint:durable or //detlint:volatile, and OnCrash
-//     wipes exactly the volatile set — a wiped durable field is
-//     amnesia, an untouched volatile field is ghost state.
-//   - journaldiscipline: on methods of //detlint:journaled types,
-//     durable writes flow through the journal append before the
-//     response, and the response derives from the journal.
-//   - restartcoverage: test packages arming amnesiac restart
-//     adversaries target recoverable objects, or carry a
-//     negative-control allow.
 //   - allowaudit: every justified //detlint:allow must still suppress a
 //     finding; stale annotations are findings themselves.
 //
-// Wait-freedom and the hang semantics of bounded-use objects are not
-// estimated here: tests measure them on the running code (DESIGN.md
-// §7.1).
+// Wait-freedom, the hang semantics of bounded-use objects and the
+// durable/volatile split of sim.Recoverable objects are not estimated
+// here: tests measure them on the running code (DESIGN.md §7.1, §8).
 //
-// The interprocedural rules ride on a typed load (typeload.go), a
-// per-function control-flow graph (cfg.go), a conservative module
-// callgraph (callgraph.go) and an SSA-lite per-function value graph
-// (ssa.go).
+// The rules ride on a typed load (load.go, typeload.go) and resolve
+// symbols through go/types, never through identifier text.
 //
 // A finding can be suppressed with an inline escape comment on the same
 // or preceding line:
@@ -82,20 +70,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerNoDeterminism(),
 		AnalyzerFacadeParity(),
-		AnalyzerPersistSplit(),
-		AnalyzerJournalDiscipline(),
-		AnalyzerRestartCoverage(),
 		AnalyzerAllowAudit(),
-	}
-}
-
-// RecoveryAnalyzers returns the persistence/recovery-safety rule subset
-// behind the CI recovery-gate job.
-func RecoveryAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerPersistSplit(),
-		AnalyzerJournalDiscipline(),
-		AnalyzerRestartCoverage(),
 	}
 }
 
@@ -109,13 +84,11 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 			a.used = false
 		}
 	}
-	selected := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		selected[a.Name] = true
-	}
+	audit := false
 	var out []Diagnostic
 	for _, a := range analyzers {
 		if a.Name == allowAuditName {
+			audit = true
 			continue // runs after every suppression mark is in place
 		}
 		for _, d := range a.Run(m) {
@@ -125,8 +98,8 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 	}
-	if selected[allowAuditName] {
-		out = append(out, m.staleAllows(selected)...)
+	if audit {
+		out = append(out, m.staleAllows()...)
 	}
 	out = append(out, m.allowProblems()...)
 	sort.Slice(out, func(i, j int) bool { return diagLess(out[i], out[j]) })

@@ -1,8 +1,7 @@
 package lint
 
 import (
-	"go/types"
-	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,17 +22,10 @@ func loadFixtures(t *testing.T) []Diagnostic {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		m, err := LoadWithExtra("../..", map[string]string{
-			"detobj/internal/lintfixture/nodetbad":      "testdata/src/nodetbad",
-			"detobj/internal/lintfixture/nodetok":       "testdata/src/nodetok",
-			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
-			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
-			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
-			"detobj/internal/lintfixture/persistbad":    "testdata/src/persistbad",
-			"detobj/internal/lintfixture/persistok":     "testdata/src/persistok",
-			"detobj/internal/lintfixture/journalbad":    "testdata/src/journalbad",
-			"detobj/internal/lintfixture/journalok":     "testdata/src/journalok",
-			"detobj/internal/lintfixture/restartcovbad": "testdata/src/restartcovbad",
-			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
+			"detobj/internal/lintfixture/nodetbad": "testdata/src/nodetbad",
+			"detobj/internal/lintfixture/nodetok":  "testdata/src/nodetok",
+			"detobj/internal/lintfixture/auditbad": "testdata/src/auditbad",
+			"detobj/internal/lintfixture/auditok":  "testdata/src/auditok",
 		})
 		if err != nil {
 			fixtureErr = err
@@ -74,18 +66,6 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"nodetbad", "nodeterminism", "never sorts"},
 		{"nodetbad", "allow", "justification"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
-		{"persistbad", "persistsplit", "field count of persistbad.Cell (a sim.Recoverable implementor) has no //detlint:durable or //detlint:volatile annotation"},
-		{"persistbad", "persistsplit", "field torn of persistbad.Cell carries both //detlint:durable and //detlint:volatile"},
-		{"persistbad", "persistsplit", "OnCrash wipes field saved of persistbad.Cell, which is annotated //detlint:durable — amnesia"},
-		{"persistbad", "persistsplit", "OnCrash never wipes field tmp of persistbad.Cell, which is annotated //detlint:volatile — ghost state"},
-		{"persistbad", "persistsplit", "//detlint:volatile on field tmp of persistbad.Cell must carry an inline justification"},
-		{"persistbad", "persistsplit", "//detlint:durable attaches to no field or type of a sim.Recoverable implementor"},
-		{"journalbad", "journaldiscipline", "durable write to field count of journalbad.Log"},
-		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Aside does not derive from the journal"},
-		{"journalbad", "journaldiscipline", "journal field rec of journalbad.Wiped is volatile"},
-		{"journalbad", "journaldiscipline", "journaled type journalbad.Empty nominates no //detlint:journal fields"},
-		{"journalbad", "journaldiscipline", "field j of journalbad.Unnominated is marked //detlint:journal but the type carries no //detlint:journaled nomination"},
-		{"restartcovbad", "restartcoverage", "arms the amnesiac restart adversary NewRepeatedCrashRestart but never touches a recoverable constructor"},
 	}
 	for _, want := range expect {
 		found := false
@@ -103,76 +83,46 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "auditok", "persistok", "journalok", "restartcovok"} {
+	for _, clean := range []string{"nodetok", "auditok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}
 	}
 }
 
-// TestPartialRunStaleJudgment pins the -rules contract for allowaudit:
-// a mark is judged stale only when every rule it names actually ran.
-// Selecting nodeterminism makes the auditbad mark judgeable (and stale),
-// while a subset without nodeterminism proves nothing about it and must
-// stay silent.
-func TestPartialRunStaleJudgment(t *testing.T) {
-	loadFixtures(t)
-	judged := Run(fixtureMod, []*Analyzer{AnalyzerNoDeterminism(), AnalyzerAllowAudit()})
-	foundStale := false
-	for _, d := range inFile(judged, "auditbad") {
-		if d.Rule == allowAuditName {
-			foundStale = true
-		}
+// TestFindingOrderTiebreak pins the canonical finding order: position
+// first, then rule, then message — so two analyzers firing on the same
+// statement always report in the same order.
+func TestFindingOrderTiebreak(t *testing.T) {
+	mk := func(file string, line int, rule, msg string) Diagnostic {
+		d := Diagnostic{Rule: rule, Msg: msg}
+		d.Pos.Filename = file
+		d.Pos.Line = line
+		return d
 	}
-	if !foundStale {
-		t.Error("subset including nodeterminism did not judge the auditbad mark stale")
+	diags := []Diagnostic{
+		mk("b.go", 1, "z", "m"),
+		mk("a.go", 2, "nodeterminism", "beta"),
+		mk("a.go", 2, "facadeparity", "gamma"),
+		mk("a.go", 2, "facadeparity", "alpha"),
+		mk("a.go", 1, "zzz", "last position wins over rule"),
 	}
-	for _, d := range inFile(judged, "auditok") {
-		if d.Rule == allowAuditName {
-			t.Errorf("live allow in auditok judged stale: %s", d)
-		}
+	sort.Slice(diags, func(i, j int) bool { return diagLess(diags[i], diags[j]) })
+	got := make([]string, len(diags))
+	for i, d := range diags {
+		got[i] = d.Pos.Filename + "|" + d.Rule + "|" + d.Msg
 	}
-	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerPersistSplit(), AnalyzerAllowAudit()})
-	for _, d := range unjudged {
-		if d.Rule == allowAuditName {
-			t.Errorf("subset without nodeterminism judged a mark anyway: %s", d)
-		}
+	want := []string{
+		"a.go|zzz|last position wins over rule",
+		"a.go|facadeparity|alpha",
+		"a.go|facadeparity|gamma",
+		"a.go|nodeterminism|beta",
+		"b.go|z|m",
 	}
-	// Restore the shared fixture diagnostics' used-marks for later tests.
-	fixtureDiags = Run(fixtureMod, Analyzers())
-}
-
-// TestCallGraphPromotedFanOut pins the interface fan-out through a
-// promoted method: in the embedbad fixture, Obj.Propose calls
-// Stepper.Step, and the only implementor gets Step from its embedded
-// Base. persistsplit's OnCrash reachability and restartcoverage rely on
-// this edge.
-func TestCallGraphPromotedFanOut(t *testing.T) {
-	loadFixtures(t)
-	pkg := fixtureMod.Lookup("detobj/internal/lintfixture/embedbad")
-	if pkg == nil {
-		t.Fatal("embedbad fixture not loaded")
-	}
-	g := fixtureMod.CallGraph()
-	method := func(typ, name string) *FuncNode {
-		t.Helper()
-		obj := pkg.Types.Scope().Lookup(typ)
-		if obj == nil {
-			t.Fatalf("embedbad has no type %s", typ)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("order[%d] = %s, want %s", i, got[i], want[i])
 		}
-		n := g.NodeOf(lookupConcreteMethod(types.NewPointer(obj.Type()), name))
-		if n == nil {
-			t.Fatalf("callgraph has no node for (*%s).%s", typ, name)
-		}
-		return n
-	}
-	propose, step := method("Obj", "Propose"), method("Base", "Step")
-	if !slices.Contains(propose.Callees, step) {
-		var got []string
-		for _, c := range propose.Callees {
-			got = append(got, funcLabel(c))
-		}
-		t.Errorf("callees of %s = %v, want %s through the promoted method", funcLabel(propose), got, funcLabel(step))
 	}
 }
 

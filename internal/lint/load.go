@@ -46,16 +46,6 @@ type Module struct {
 
 	byPath map[string]*Package
 	allows map[string][]*allowMark // file name -> allow comments
-
-	// cg caches the conservative callgraph across analyzers.
-	cg *CallGraph
-	// persist caches the persistence classification of sim.Recoverable
-	// implementors (persist.go) across the recovery-safety rules.
-	persist *persistInfo
-	// allowFiles records the files whose //detlint:allow comments are
-	// already indexed, so a rule that parses test files itself
-	// (restartcoverage) never double-counts a mark across repeated runs.
-	allowFiles map[string]bool
 }
 
 // allowMark is one parsed //detlint:allow comment.
@@ -64,23 +54,15 @@ type allowMark struct {
 	rules     map[string]bool
 	justified bool
 	pos       token.Position
-	// used is set by the driver whenever the mark suppresses a finding
-	// (or exempts a field declaration); the allowaudit rule reports
-	// justified marks that stay unused across a full run.
+	// used is set by the driver whenever the mark suppresses a finding;
+	// the allowaudit rule reports justified marks that stay unused
+	// across a run.
 	used bool
 }
 
-// collectFileAllows indexes a file's //detlint:allow comments. It is
-// idempotent per file: restartcoverage parses test files itself, the
-// driver can run more than once on one Module, and a duplicated mark
-// would read as stale to allowaudit — suppression only marks the first
-// match used.
+// collectFileAllows indexes a file's //detlint:allow comments. The
+// loader calls it once per parsed file.
 func collectFileAllows(m *Module, f *ast.File) {
-	name := m.Fset.Position(f.Pos()).Filename
-	if m.allowFiles[name] {
-		return
-	}
-	m.allowFiles[name] = true
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -125,12 +107,11 @@ func LoadWithExtra(root string, extra map[string]string) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{
-		Root:       root,
-		Path:       modPath,
-		Fset:       token.NewFileSet(),
-		byPath:     make(map[string]*Package),
-		allows:     make(map[string][]*allowMark),
-		allowFiles: make(map[string]bool),
+		Root:   root,
+		Path:   modPath,
+		Fset:   token.NewFileSet(),
+		byPath: make(map[string]*Package),
+		allows: make(map[string][]*allowMark),
 	}
 	l := &loader{
 		m:       m,

@@ -2,11 +2,11 @@ package lint
 
 // output.go renders a run's diagnostics as machine-readable reports:
 // plain JSON for scripting and SARIF 2.1.0 for code-scanning UIs. Both
-// are byte-stable — same tree, same bytes — because CI diffs them and
-// the result cache replays them verbatim. Each finding carries a stable
-// ID derived from (rule, file, message, occurrence index) but *not* the
-// line number, so unrelated edits above a finding don't change its
-// identity and scanning UIs can track it across commits.
+// are byte-stable — same tree, same bytes — so runs can be diffed. Each
+// finding carries a stable ID derived from (rule, file, message,
+// occurrence index) but *not* the line number, so unrelated edits above
+// a finding don't change its identity and scanning UIs can track it
+// across commits.
 
 import (
 	"crypto/sha256"
@@ -43,14 +43,12 @@ type Report struct {
 	Findings []Finding `json:"findings"`
 }
 
-// detlintVersion names the analyzer release in reports and cache keys.
-// Bump it when rules change behavior so stale caches self-invalidate.
-const detlintVersion = "detlint/10.0.0"
+// detlintVersion labels reports with the analyzer release. Bump it when
+// the rule set changes.
+const detlintVersion = "detlint/11.0.0"
 
 // NewReport converts Run's diagnostics into report form, relativizing
 // file names against the module root.
-//
-//detlint:allow facadeparity lint is a development tool consumed through cmd/detlint, not a simulation module the api facade fronts
 func NewReport(root string, diags []Diagnostic) *Report {
 	r := &Report{Version: detlintVersion, Findings: make([]Finding, 0, len(diags))}
 	occ := make(map[string]int)

@@ -82,10 +82,9 @@ func (l *loader) load(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	var tcErr error
 	conf := types.Config{
@@ -134,107 +133,4 @@ func isFunc(fn *types.Func, path string, names ...string) bool {
 		}
 	}
 	return false
-}
-
-// resolvedFunc resolves the function a call's Fun expression names,
-// whether spelled as an identifier, a qualified name, or a method
-// selection. Dynamic calls (function values, closures, builtins,
-// conversions) return nil.
-func resolvedFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if s, ok := pkg.Info.Selections[fun]; ok {
-			if s.Kind() == types.MethodVal {
-				fn, _ := s.Obj().(*types.Func)
-				return fn
-			}
-			return nil // field value call
-		}
-		// Qualified package function: pkgname.Func.
-		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
-			fn, _ := pkg.Info.Uses[id].(*types.Func)
-			return fn
-		}
-	}
-	return nil
-}
-
-// receiverInterface returns the interface type a method call dispatches
-// through, or nil if the call is static (concrete receiver, package
-// function, or not a call through a selector).
-func receiverInterface(pkg *Package, call *ast.CallExpr) (*types.Interface, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return nil, ""
-	}
-	recv := s.Recv()
-	if iface, ok := recv.Underlying().(*types.Interface); ok {
-		return iface, s.Obj().Name()
-	}
-	return nil, ""
-}
-
-// namedBase unwraps pointers and aliases down to a *types.Named, or nil.
-func namedBase(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			return u
-		case *types.Alias:
-			t = types.Unalias(u)
-		default:
-			return nil
-		}
-	}
-}
-
-// fieldTarget resolves an assignment target to the struct field it
-// writes, unwrapping index/star/paren chains, or nil.
-func fieldTarget(pkg *Package, e ast.Expr) *types.Var {
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return selectedField(pkg, x)
-		default:
-			return nil
-		}
-	}
-}
-
-// selectedField returns the field object a selector denotes, or nil.
-func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// lookupConcreteMethod finds the concrete method named name on t (or
-// *t), or nil.
-func lookupConcreteMethod(t types.Type, name string) *types.Func {
-	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
-	if fn, ok := obj.(*types.Func); ok {
-		return fn
-	}
-	return nil
 }

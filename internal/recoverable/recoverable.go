@@ -24,6 +24,9 @@
 //     journaled core plus a volatile response cache, with a recovery
 //     procedure that re-derives the cache from the journal.
 //
+// TestCrashContract (crash_test.go) pins, for each of these objects,
+// exactly which state survives a crash.
+//
 // protocols.go builds the 2-process consensus protocols E20 calibrates:
 // identical protocol shape, plain vs. recoverable racing object, so any
 // verdict difference is attributable to the object alone.
@@ -44,8 +47,8 @@ import (
 // survive. (Writes are process-private until persisted, mirroring a
 // write-behind cache whose lines are lost on power failure.)
 type Register struct {
-	durable sim.Value         //detlint:durable the non-volatile cell itself — the value "persist" committed
-	buf     map[int]sim.Value //detlint:volatile per-process staged writes; a crash drops the crashed caller's entry
+	durable sim.Value         // durable: the non-volatile cell itself — the value "persist" committed
+	buf     map[int]sim.Value // volatile: per-process staged writes; a crash drops the crashed caller's entry
 }
 
 // NewRegister returns a recoverable register durably holding initial.
@@ -129,7 +132,7 @@ func (r RegisterRef) Read(ctx *sim.Ctx) sim.Value { return ctx.Invoke(r.Name, "r
 // runtime wipes it deterministically and the loss is visible in the
 // trace.
 type Scratch struct {
-	slots map[int]sim.Value //detlint:volatile the scratchpad exists to be wiped: every slot dies with its process
+	slots map[int]sim.Value // volatile: the scratchpad exists to be wiped; every slot dies with its process
 }
 
 // NewScratch returns an empty scratchpad.
@@ -163,7 +166,7 @@ func (s *Scratch) OnCrash(proc int) { delete(s.slots, proc) }
 // whose win/lose answer exists only in the (volatile) local state of
 // whoever received it.
 type TestAndSet struct {
-	winner int //detlint:durable the winner's identity is the whole point: it must survive so a restarted winner re-learns its win
+	winner int // durable: the winner's identity is the whole point; it must survive so a restarted winner re-learns its win
 }
 
 // NewTestAndSet returns a fresh recoverable test-and-set.

@@ -32,17 +32,21 @@ import (
 // the process id).
 
 // WRNCore is the durable half of the recoverable WRN_k: cells plus the
-// per-process operation journal, updated atomically.
-//
-//detlint:journaled apply commits cell mutation and (opid, response) journal record in one atomic step
+// per-process operation journal, updated atomically. Every field is
+// durable; "apply" commits the cell mutation and the (opid, response)
+// journal record in one atomic step.
 type WRNCore struct {
-	k     int         //detlint:durable the arity is configuration, fixed at construction
-	cells []sim.Value //detlint:durable the shared cells are the non-volatile memory the model posits
-	//detlint:journal per proc: last applied operation id — the write-ahead commit record
-	lastOp map[int]int //detlint:durable a journal the crash wipes cannot make apply idempotent
-	//detlint:journal per proc: the recorded response a re-invocation replays
-	lastResp map[int]sim.Value //detlint:durable the re-invocation answer must survive the restart it serves
-	applies  map[int]int       //detlint:durable audit counter: times each op id actually mutated the cells, across all incarnations
+	k     int         // durable: the arity is configuration, fixed at construction
+	cells []sim.Value // durable: the shared cells are the non-volatile memory the model posits
+	// Journal, per proc: the last applied operation id — the
+	// write-ahead commit record. Durable: a journal the crash wipes
+	// cannot make apply idempotent.
+	lastOp map[int]int
+	// Journal, per proc: the recorded response a re-invocation
+	// replays. Durable: the re-invocation answer must survive the
+	// restart it serves.
+	lastResp map[int]sim.Value
+	applies  map[int]int // durable: audit counter, times each op id actually mutated the cells, across all incarnations
 }
 
 // NewWRNCore returns a fresh durable core with k cells at ⊥.
